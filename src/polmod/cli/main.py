@@ -31,13 +31,6 @@ def _add_module_flags(sub, gens_required=True):
         action="store_true",
         help="grow ell to the top generator degree so no q-label is truncated",
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="accepted for compatibility; execution is sequential",
-    )
 
 
 def _add_output_flags(sub):
@@ -111,8 +104,6 @@ def _validate_common(args):
         raise UsageError("--n must be at least 1")
     if args.ell < 1:
         raise UsageError("--ell must be at least 1")
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
 
 
 def _emit(args, doc, text):

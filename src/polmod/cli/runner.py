@@ -67,55 +67,37 @@ def sym_to_json(series):
     ]
 
 
-def frobenius_job(gen_args, n, ell, full_mu=False):
+def _series_job(gen_args, n, ell, full_mu, with_frobenius):
+    """Shared body of frobenius_job and hilbert_job."""
     module = build_module(gen_args, n, ell, full_mu)
-    fs = checked_frobenius(module)
+    doc = {"n": module.n, "ell": module.ell, "generators": list(gen_args)}
+    lines = [
+        "n = %d, ell = %d" % (doc["n"], doc["ell"]),
+        "generators: %s" % "; ".join(doc["generators"]),
+    ]
+    if with_frobenius:
+        fs = checked_frobenius(module)
+        doc["frobenius"] = fs.to_json_list()
+        lines.append("frobenius: %s" % fs)
     hs = hilbert_series(module)
     hh = schur_to_h(hs)
-    doc = {
-        "n": module.n,
-        "ell": module.ell,
-        "generators": list(gen_args),
-        "frobenius": fs.to_json_list(),
-        "hilbert": sym_to_json(hs),
-        "hilbert_h_basis": sym_to_json(hh),
-        "dimension": module.total_dimension(),
-    }
-    text = "\n".join(
-        [
-            "n = %d, ell = %d" % (doc["n"], doc["ell"]),
-            "generators: %s" % "; ".join(doc["generators"]),
-            "frobenius: %s" % fs,
-            "hilbert (schur): %s" % hs,
-            "hilbert (homogeneous): %s" % hh,
-            "dimension = %d" % doc["dimension"],
-        ]
-    )
-    return doc, text
+    doc["hilbert"] = sym_to_json(hs)
+    doc["hilbert_h_basis"] = sym_to_json(hh)
+    doc["dimension"] = module.total_dimension()
+    lines += [
+        "hilbert (schur): %s" % hs,
+        "hilbert (homogeneous): %s" % hh,
+        "dimension = %d" % doc["dimension"],
+    ]
+    return doc, "\n".join(lines)
+
+
+def frobenius_job(gen_args, n, ell, full_mu=False):
+    return _series_job(gen_args, n, ell, full_mu, with_frobenius=True)
 
 
 def hilbert_job(gen_args, n, ell, full_mu=False):
-    module = build_module(gen_args, n, ell, full_mu)
-    hs = hilbert_series(module)
-    hh = schur_to_h(hs)
-    doc = {
-        "n": module.n,
-        "ell": module.ell,
-        "generators": list(gen_args),
-        "hilbert": sym_to_json(hs),
-        "hilbert_h_basis": sym_to_json(hh),
-        "dimension": module.total_dimension(),
-    }
-    text = "\n".join(
-        [
-            "n = %d, ell = %d" % (doc["n"], doc["ell"]),
-            "generators: %s" % "; ".join(doc["generators"]),
-            "hilbert (schur): %s" % hs,
-            "hilbert (homogeneous): %s" % hh,
-            "dimension = %d" % doc["dimension"],
-        ]
-    )
-    return doc, text
+    return _series_job(gen_args, n, ell, full_mu, with_frobenius=False)
 
 
 def basis_job(gen_args, n, ell, full_mu=False):

@@ -10,9 +10,9 @@ import json
 import os
 from importlib import resources
 
-from ..closure import GeneratorFamily, GradedSpan, polarization_module
+from ..closure import GeneratorFamily, polarization_module
 from ..errors import UsageError
-from ..exceptions import exception_equation, is_n_exception
+from ..exceptions import exception_equation, is_n_exception, partials_span_dimension
 from ..frobenius import FrobeniusSeries, hilbert_series
 from ..polyring import ring
 from ..rationals import QQ
@@ -114,30 +114,30 @@ def expected_hilbert(coeffs, n, ell):
 
 
 class Session:
-    """Caches computed modules and their series across records."""
+    """Keeps the Hilbert series of every module built, across records.
+
+    Records reuse a module only to read its Hilbert series, so the series
+    is kept and the module itself is left to the caller.
+    """
 
     def __init__(self):
-        self._modules = {}
-        self._frobenius = {}
+        self._hilbert = {}
 
     def module(self, generators, mode, n, ell):
-        key = (tuple(generators), mode, n, ell)
-        cached = self._modules.get(key)
-        if cached is None:
-            r = ring(ell, n)
-            polys = parse_generator_args(generators, r)
-            family = GeneratorFamily(polys, mode=mode, text=generators)
-            cached = polarization_module(family)
-            self._modules[key] = cached
-        return cached
+        """Build a module and remember its Hilbert series."""
+        r = ring(ell, n)
+        polys = parse_generator_args(generators, r)
+        family = GeneratorFamily(polys, mode=mode, text=generators)
+        module = polarization_module(family)
+        self._hilbert[(tuple(generators), mode, n, ell)] = hilbert_series(module)
+        return module
 
-    def frobenius(self, generators, mode, n, ell):
+    def hilbert(self, generators, mode, n, ell):
+        """Schur-basis Hilbert series, building the module on a miss."""
         key = (tuple(generators), mode, n, ell)
-        cached = self._frobenius.get(key)
-        if cached is None:
-            cached = checked_frobenius(self.module(generators, mode, n, ell))
-            self._frobenius[key] = cached
-        return cached
+        if key not in self._hilbert:
+            self.module(generators, mode, n, ell)
+        return self._hilbert[key]
 
 
 def _result(rec, where, status, detail=None):
@@ -160,7 +160,7 @@ def _check_frobenius(rec, session):
     mode = rec.get("mode", "orbit")
     for n in rec["n_values"]:
         for ell in rec["ell_values"]:
-            got = session.frobenius(rec["generators"], mode, n, ell)
+            got = checked_frobenius(session.module(rec["generators"], mode, n, ell))
             want = realize_expected(rec["series"], n, ell)
             ok = got.coeffs == want.coeffs
             detail = None if ok else "engine: %s / expected: %s" % (got, want)
@@ -170,8 +170,7 @@ def _check_frobenius(rec, session):
     return results
 
 
-def _hilbert_in_basis(module, basis):
-    hs = hilbert_series(module)
+def _hilbert_in_basis(hs, basis):
     return schur_to_h(hs) if basis == "h" else hs
 
 
@@ -183,8 +182,8 @@ def _check_hilbert(rec, session):
         for ell in rec["ell_values"]:
             want = expected_hilbert(rec["coeffs"], n, ell)
             for gen in rec["generators"]:
-                module = session.module([gen], mode, n, ell)
-                got = _hilbert_in_basis(module, basis).coeffs
+                hs = session.hilbert([gen], mode, n, ell)
+                got = _hilbert_in_basis(hs, basis).coeffs
                 ok = got == want
                 detail = None
                 if not ok:
@@ -201,8 +200,8 @@ def _check_hilbert(rec, session):
                     )
                 )
             for gen in rec.get("also_printed_generators", []):
-                module = session.module([gen], mode, n, ell)
-                got = _hilbert_in_basis(module, basis).coeffs
+                hs = session.hilbert([gen], mode, n, ell)
+                got = _hilbert_in_basis(hs, basis).coeffs
                 matches = got == want
                 results.append(
                     _result(
@@ -235,14 +234,6 @@ def _check_point(rec):
     return results
 
 
-def _span_dimension(f, n):
-    span = GradedSpan(1, n)
-    for j in range(1, n + 1):
-        span.insert(f.derive(1, j))
-    span.insert(f.polarize(1, 1, 2))
-    return span.total_dimension()
-
-
 def _check_span_dim(rec):
     results = []
     for n in rec["n_values"]:
@@ -250,7 +241,7 @@ def _check_span_dim(rec):
         polys = parse_generator_args(rec["generators"], r)
         if len(polys) != 1:
             raise UsageError("span_dim takes a single generator")
-        dim = _span_dimension(polys[0], n)
+        dim = partials_span_dimension(polys[0])
         ok = dim == rec["expected_dim"]
         detail = "span dimension %d (expected %d)" % (dim, rec["expected_dim"])
         results.append(_result(rec, "n=%d" % n, _status(rec, ok), detail))
@@ -268,7 +259,7 @@ def _check_p2_shift(rec):
     for j in range(1, n + 1):
         rhs = rhs + g.derive(1, j)
     identity = lhs == rhs
-    dim = _span_dimension(g, n)
+    dim = partials_span_dimension(g)
     ok = identity and dim == rec["expected_dim"]
     detail = "identity %s, span dimension %d (expected %d)" % (
         "holds" if identity else "fails",
@@ -285,8 +276,7 @@ def _check_h_positive(rec, session):
     for gen in rec["generators"]:
         for n in rec["n_values"]:
             for ell in rec["ell_values"]:
-                module = session.module([gen], mode, n, ell)
-                hh = schur_to_h(hilbert_series(module))
+                hh = schur_to_h(session.hilbert([gen], mode, n, ell))
                 bad = {mu: q for mu, q in hh.coeffs.items() if q < 0}
                 ok = not bad
                 detail = None if ok else "negative terms: %s" % (bad,)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import UsageError
-from .polyring import Poly, adjacent_transpositions, ring
+from .polyring import Poly, adjacent_transpositions, apply_operator, ring
 
 
 class Component:
@@ -57,10 +57,6 @@ class Component:
                             del w[code]
         return w
 
-    def insert(self, w):
-        """Insert dict w (consumed); True if the dimension grew."""
-        return _insert_at(self, w) is not None
-
     def contains(self, w):
         """Span membership test (w: dict, copied)."""
         return not self.reduce(dict(w))
@@ -91,19 +87,13 @@ class GradedSpan:
         return comp
 
     def insert(self, f):
-        """span_insert: route a homogeneous Poly (or raw dict+degree pair)."""
+        """Insert a homogeneous Poly; True if the span grew."""
         if isinstance(f, Poly):
             if f.is_zero():
                 return False
             d = f.multidegree()  # raises NonHomogeneous on bad input
-            return self.component(d).insert(dict(f.terms))
+            return _insert_at(self.component(d), dict(f.terms)) is not None
         raise TypeError("insert expects a Poly")
-
-    def insert_terms(self, d, terms):
-        """Insert a term dict known to be homogeneous of multidegree d."""
-        if not terms:
-            return False
-        return self.component(d).insert(terms)
 
     def member(self, f):
         """Exact span membership of a homogeneous Poly."""
@@ -247,67 +237,34 @@ def _check_span_stable(polys, n):
 # closure operators
 
 
-def _apply_derivatives(r, terms, degree, out_sink):
-    """All first partials of a term dict; nonzero results go to out_sink."""
-    n = r.n
-    for i in range(1, r.ell + 1):
-        if degree[i - 1] == 0:
-            continue
-        dd = degree[: i - 1] + (degree[i - 1] - 1,) + degree[i:]
-        for j in range(1, n + 1):
-            shift = r.shifts[(i - 1) * n + (j - 1)]
-            out = {}
-            for code, q in terms.items():
-                a = (code >> shift) & 31
-                if a:
-                    out[code - (1 << shift)] = q * a
-            if out:
-                out_sink(dd, out)
+def _operators(r, degree, use_derive, use_polarize):
+    """(target degree, moves, order) of every closure operator on V_degree.
 
-
-def _apply_polarizations(r, terms, degree, out_sink):
-    """All E[i,k,p] images, p up to the row-k degree; results to out_sink.
-
-    The Euler case (i == k, p == 1) is skipped: it scales each component
-    and never enlarges the span.
+    All first partials by (row i, column j), then the polarizations E[i,k]
+    of order p up to the row-k degree, by (k, i, p). The Euler case
+    (i == k, p == 1) is skipped: it scales each component and never
+    enlarges the span.
     """
-    n = r.n
-    for k in range(1, r.ell + 1):
-        dk = degree[k - 1]
-        if dk == 0:
-            continue
-        src_shifts = [r.shifts[(k - 1) * n + j] for j in range(n)]
+    ops = []
+    if use_derive:
         for i in range(1, r.ell + 1):
-            dst_places = [r.places[(i - 1) * n + j] for j in range(n)]
-            for p in range(1, dk + 1):
-                if i == k and p == 1:
-                    continue
-                lowered = list(degree)
-                lowered[k - 1] -= p
-                lowered[i - 1] += 1
-                dd = tuple(lowered)
-                out = {}
-                for code, q in terms.items():
-                    for j in range(n):
-                        shift = src_shifts[j]
-                        a = (code >> shift) & 31
-                        if a >= p:
-                            f = a
-                            for t in range(1, p):
-                                f *= a - t
-                            nc = code - (p << shift) + dst_places[j]
-                            v = q * f
-                            s = out.get(nc)
-                            if s is None:
-                                out[nc] = v
-                            else:
-                                s = s + v
-                                if s:
-                                    out[nc] = s
-                                else:
-                                    del out[nc]
-                if out:
-                    out_sink(dd, out)
+            if degree[i - 1] == 0:
+                continue
+            dd = degree[: i - 1] + (degree[i - 1] - 1,) + degree[i:]
+            for j in range(1, r.n + 1):
+                ops.append((dd, r.derivative_moves(i, j), 1))
+    if use_polarize:
+        for k in range(1, r.ell + 1):
+            for i in range(1, r.ell + 1):
+                moves = r.polarization_moves(i, k)
+                for p in range(1, degree[k - 1] + 1):
+                    if i == k and p == 1:
+                        continue
+                    lowered = list(degree)
+                    lowered[k - 1] -= p
+                    lowered[i - 1] += 1
+                    ops.append((tuple(lowered), moves, p))
+    return ops
 
 
 def _close(span, use_derive, use_polarize):
@@ -327,20 +284,20 @@ def _close(span, use_derive, use_polarize):
             heapq.heappush(heap, (sum(d), d, seq, dict(row)))
             seq += 1
 
-    def sink(dd, termdict):
-        nonlocal seq
-        comp = span.component(dd)
-        pos = _insert_at(comp, termdict)
-        if pos is not None:
-            heapq.heappush(heap, (sum(dd), dd, seq, dict(comp.rows[pos])))
-            seq += 1
-
+    ops = {}
     while heap:
         _, d, _, terms = heapq.heappop(heap)
-        if use_derive:
-            _apply_derivatives(r, terms, d, sink)
-        if use_polarize:
-            _apply_polarizations(r, terms, d, sink)
+        if d not in ops:
+            ops[d] = _operators(r, d, use_derive, use_polarize)
+        for dd, moves, p in ops[d]:
+            out = apply_operator(terms, moves, p)
+            if not out:
+                continue
+            comp = span.component(dd)
+            pos = _insert_at(comp, out)
+            if pos is not None:
+                heapq.heappush(heap, (sum(dd), dd, seq, dict(comp.rows[pos])))
+                seq += 1
     return span
 
 

@@ -40,10 +40,6 @@ class StructuredMatrix:
     def ncols(self):
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i, j):
-        """1-based access."""
-        return self.rows[i - 1][j - 1]
-
     def gram(self):
         """M^t M as a new StructuredMatrix."""
         cols = self.ncols
@@ -383,7 +379,6 @@ def rank_lower_bound_check(a, b, c, n):
     """
     if n < 2:
         raise UsageError("rank check needs n >= 2")
-    from .closure import GradedSpan
     from .symfunc import expand_basis
 
     r_ell = 1
@@ -394,11 +389,19 @@ def rank_lower_bound_check(a, b, c, n):
     )
     if f.is_zero():
         raise UsageError("coefficients must not all vanish")
-    span = GradedSpan(r_ell, n)
-    for j in range(1, n + 1):
-        span.insert(f.derive(1, j, 1))
+    return partials_span_dimension(f) >= n
+
+
+def partials_span_dimension(f):
+    """Dimension of span {d/dx[1,1] f, ..., d/dx[1,n] f, E[1,1]^(2) f}."""
+    from .closure import GradedSpan
+
+    r = f.ring
+    span = GradedSpan(r.ell, r.n)
+    for j in range(1, r.n + 1):
+        span.insert(f.derive(1, j))
     span.insert(f.polarize(1, 1, 2))
-    return span.total_dimension() >= n
+    return span.total_dimension()
 
 
 def classify(degree, coeffs, n):

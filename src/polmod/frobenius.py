@@ -128,14 +128,6 @@ class FrobeniusSeries:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def truncate(self, ell):
-        """Drop degree-side labels needing more than ell variables."""
-        out = FrobeniusSeries(self.n)
-        for (mu, lam), q in self.coeffs.items():
-            if len(mu) <= ell:
-                out.add_term(mu, lam, q)
-        return out
-
     def group_by_lambda(self):
         """[(lambda, SymSeries over mu)] with the trivial label first."""
         groups = {}

@@ -19,7 +19,7 @@ composites between row 1 and the full matrix (with factorial normalization).
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, perm
 
 from .errors import NonHomogeneous, ZeroPolynomial
 from .rationals import QQ, rational_to_string
@@ -111,6 +111,20 @@ class PolyRing:
                 out += a << self.shifts[i * n + images[j] - 1]
         return out
 
+    # -- operator moves (see apply_operator) -------------------------------
+
+    def derivative_moves(self, i, j):
+        """The single move of d/dx[i,j]: lower cell (i, j), multiply by 1."""
+        return ((self.shifts[self.cell(i, j)], 0),)
+
+    def polarization_moves(self, i, k):
+        """One move per column j: lower cell (k, j), multiply in x[i,j]."""
+        n = self.n
+        return tuple(
+            (self.shifts[(k - 1) * n + j], self.places[(i - 1) * n + j])
+            for j in range(n)
+        )
+
     # -- constructors -----------------------------------------------------
 
     def zero(self):
@@ -157,6 +171,39 @@ class PolyRing:
     def from_terms(self, termmap):
         """Build from {code: rational}, dropping zeros. Trusted callers only."""
         return Poly(self, {c: q for c, q in termmap.items() if q})
+
+
+# _FALLING[p][a] = a(a-1)...(a-p+1), which is 0 for a < p; no exponent
+# reaches EXP_BASE, so that row is all zeros and serves every larger p
+_FALLING = [[perm(a, p) for a in range(EXP_BASE)] for p in range(EXP_BASE + 1)]
+
+
+def apply_operator(terms, moves, p):
+    """sum over moves (shift, unit) of unit * d^p/dcell^p, on a term dict.
+
+    shift locates the differentiated cell in the packed code and unit is
+    the packed monomial multiplied in afterwards (0 for a bare derivative).
+    Coefficients are the falling factorials a(a-1)...(a-p+1) of the
+    exponent a; a fresh {code: coefficient} dict without zeros is returned.
+    """
+    falling = _FALLING[min(p, EXP_BASE)]
+    out = {}
+    for code, q in terms.items():
+        for shift, unit in moves:
+            f = falling[(code >> shift) & EXP_MASK]
+            if f:
+                nc = code - (p << shift) + unit
+                v = q * f
+                s = out.get(nc)
+                if s is None:
+                    out[nc] = v
+                else:
+                    s = s + v
+                    if s:
+                        out[nc] = s
+                    else:
+                        del out[nc]
+    return out
 
 
 class Poly:
@@ -322,18 +369,7 @@ class Poly:
         if p < 1:
             raise ValueError("derivative order must be >= 1")
         r = self.ring
-        shift = r.shifts[r.cell(i, j)]
-        place = 1 << shift
-        drop = p * place
-        out = {}
-        for code, q in self.terms.items():
-            a = (code >> shift) & EXP_MASK
-            if a >= p:
-                f = a
-                for t in range(1, p):
-                    f *= a - t
-                out[code - drop] = q * f
-        return Poly(r, out)
+        return Poly(r, apply_operator(self.terms, r.derivative_moves(i, j), p))
 
     def polarize(self, i, k, p=1):
         """sum_j x[i,j] * d^p/dx[k,j]^p: degree moves from row k to row i."""
@@ -342,30 +378,7 @@ class Poly:
         r = self.ring
         if not (1 <= i <= r.ell and 1 <= k <= r.ell):
             raise IndexError("row index out of range")
-        n = r.n
-        src = [r.shifts[(k - 1) * n + j] for j in range(n)]
-        dst = [r.places[(i - 1) * n + j] for j in range(n)]
-        out = {}
-        for code, q in self.terms.items():
-            for j in range(n):
-                shift = src[j]
-                a = (code >> shift) & EXP_MASK
-                if a >= p:
-                    f = a
-                    for t in range(1, p):
-                        f *= a - t
-                    nc = code - (p << shift) + dst[j]
-                    v = q * f
-                    s = out.get(nc)
-                    if s is None:
-                        out[nc] = v
-                    else:
-                        s = s + v
-                        if s:
-                            out[nc] = s
-                        else:
-                            del out[nc]
-        return Poly(r, out)
+        return Poly(r, apply_operator(self.terms, r.polarization_moves(i, k), p))
 
     def permute(self, images):
         """Diagonal action: x[i,j] -> x[i, images[j-1]] in every row.
@@ -512,10 +525,6 @@ def sum_poly(ring_, scaled_vars):
     return Poly(ring_, terms)
 
 
-def identity_permutation(n):
-    return tuple(range(1, n + 1))
-
-
 def adjacent_transpositions(n):
     """The images tuples of (j j+1) for j = 1..n-1."""
     out = []
@@ -524,11 +533,6 @@ def adjacent_transpositions(n):
         im[j - 1], im[j] = im[j], im[j - 1]
         out.append(tuple(im))
     return out
-
-
-def compose_permutations(t, s):
-    """(t*s)(j) = t(s(j)), 1-based image tuples."""
-    return tuple(t[s[j - 1] - 1] for j in range(1, len(s) + 1))
 
 
 def inverse_permutation(images):

@@ -14,14 +14,8 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as QQ
-
-    HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     QQ = Fraction
-    HAVE_GMPY2 = False
-
-ZERO = QQ(0)
-ONE = QQ(1)
 
 
 def rational_from_string(text):

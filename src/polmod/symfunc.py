@@ -153,10 +153,6 @@ def cycle_types(n):
     return out
 
 
-def fixed_points(images):
-    return sum(1 for j, im in enumerate(images, start=1) if im == j)
-
-
 def _beta_set(lam):
     m = len(lam)
     return tuple(lam[i] + m - 1 - i for i in range(m))
@@ -252,11 +248,14 @@ def monomial_poly(lam, row, n, ell=None):
     if len(lam) > n:
         # no monomial uses more distinct variables than there are columns
         return r.zero()
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    out = r.zero()
-    for arrangement in sorted(set(permutations(padded))):
-        out = out + _row_monomial(r, row, {j + 1: a for j, a in enumerate(arrangement)})
-    return out
+    # each monomial is a set of len(lam) columns times a distinct ordering
+    # of the parts on them
+    arrangements = set(permutations(lam))
+    terms = {}
+    for cols in combinations(range(1, n + 1), len(lam)):
+        for arrangement in arrangements:
+            terms.update(_row_monomial(r, row, dict(zip(cols, arrangement))).terms)
+    return Poly(r, terms)
 
 
 @lru_cache(maxsize=None)
@@ -388,30 +387,6 @@ def multi_elementary(d, n):
     return r.from_terms(out)
 
 
-def multi_elementary_outside(d, n, excluded):
-    """Same as multi_elementary but only over columns outside `excluded`."""
-    d = tuple(d)
-    ell = len(d)
-    r = ring(ell, n)
-    total = sum(d)
-    allowed = [j for j in range(1, n + 1) if j not in set(excluded)]
-    if total > len(allowed):
-        return r.zero()
-    if total == 0:
-        return r.one()
-    colors = []
-    for i, di in enumerate(d, start=1):
-        colors.extend([i] * di)
-    out = {}
-    for cols in combinations(allowed, total):
-        for coloring in set(permutations(colors)):
-            code = 0
-            for j, i in zip(cols, coloring):
-                code += 1 << r.shifts[r.cell(i, j)]
-            out[code] = out.get(code, QQ(0)) + 1
-    return r.from_terms(out)
-
-
 # ---------------------------------------------------------------------------
 # formal series in a partition basis
 
@@ -450,13 +425,6 @@ class SymSeries:
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def truncate_length(self, max_rows):
-        """Drop partitions with more than max_rows parts."""
-        return SymSeries(
-            self.basis,
-            {lam: q for lam, q in self.coeffs.items() if len(lam) <= max_rows},
-        )
 
     def map_partition_weights(self, weight):
         """sum over terms of coeff * weight(partition)."""
@@ -529,17 +497,6 @@ def to_schur(f):
         c = work.terms[lead]
         out.add_term(lam, c)
         work = work - schur_row_poly(lam, 1, r.n, 1).scale(c) if lam else work - r.const(c)
-    return out
-
-
-def from_schur(series, nvars):
-    """Realize a Schur-basis series concretely in nvars variables (row 1)."""
-    r = ring(1, nvars)
-    out = r.zero()
-    for lam, q in series.coeffs.items():
-        if len(lam) <= nvars:
-            out = out + schur_row_poly(lam, 1, nvars, 1).scale(q)
-        # partitions with more rows than variables evaluate to zero
     return out
 
 

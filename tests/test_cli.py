@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from polmod import NotSymmetric, QQ, UsageError, expand_basis, ring
+from polmod import NotSymmetric, QQ, UsageError, expand_basis, hilbert_series, ring
 from polmod.cli.expressions import (
     expand_family,
     is_family,
@@ -22,6 +22,7 @@ from polmod.cli.runner import (
     basis_job,
     parse_point,
 )
+from polmod.cli import verify
 from polmod.cli.verify import resolve_selectors, run_verify
 
 
@@ -196,6 +197,22 @@ def test_resolve_selectors():
         resolve_selectors(["nope"])
 
 
+def test_session_builds_a_module_once_per_key(monkeypatch):
+    built = []
+    real = verify.polarization_module
+
+    def counting(family):
+        built.append(family)
+        return real(family)
+
+    monkeypatch.setattr(verify, "polarization_module", counting)
+    session = verify.Session()
+    first = session.hilbert(["p[2]"], "orbit", 3, 2)
+    second = session.hilbert(["p[2]"], "orbit", 3, 2)
+    assert len(built) == 1
+    assert first == second == hilbert_series(real(built[0]))
+
+
 def test_run_verify_fast_set():
     doc, text = run_verify(["examples:fast"])
     assert doc["failed"] == 0
@@ -223,12 +240,12 @@ def test_main_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_main_threads_flag_is_accepted(capsys):
+def test_main_threads_flag_is_a_usage_error(capsys):
     code = main(
         ["hilbert", "--gen", "e[2]", "--n", "3", "--threads", "4", "--format", "json"]
     )
-    assert code == 0
-    capsys.readouterr()
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_main_classify_text(capsys):

@@ -1,6 +1,7 @@
 """Unit tests for partitions, characters, and symmetric-function expansions."""
 
 import math
+from itertools import permutations
 
 import pytest
 
@@ -122,6 +123,32 @@ def test_expand_basis_small_identities():
     m21 = expand_basis("m", (2, 1), 1, 3, 1)
     m111 = expand_basis("m", (1, 1, 1), 1, 3, 1)
     assert s21 == m21 + m111.scale(2)
+
+
+def _monomial_by_full_permutations(lam, n):
+    """m_lam as the sum over all distinct arrangements of lam padded to n."""
+    r = ring(1, n)
+    padded = tuple(lam) + (0,) * (n - len(lam))
+    out = r.zero()
+    for arrangement in set(permutations(padded)):
+        out = out + r.monomial(arrangement)
+    return out
+
+
+def test_monomial_basis_matches_full_permutation_sum():
+    for n in range(1, 7):
+        for size in range(6):
+            for lam in partitions_of(size):
+                got = expand_basis("m", lam, 1, n)
+                if len(lam) > n:
+                    assert got.is_zero()
+                else:
+                    assert got == _monomial_by_full_permutations(lam, n), (lam, n)
+    # all 11! (39.9M) padded arrangements collapse to C(11, 4) monomials
+    m1111 = expand_basis("m", (1, 1, 1, 1), 1, 11)
+    assert len(m1111) == math.comb(11, 4) == 330
+    assert set(m1111.terms.values()) == {QQ(1)}
+    assert all(max(m1111.ring.unpack(c)) == 1 for c in m1111.terms)
 
 
 def test_expand_basis_multipart_shapes_multiply():
