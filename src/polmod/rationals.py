@@ -1,11 +1,13 @@
 """Exact rational scalars.
 
-Everything in the engine is a rational number. gmpy2's mpq is used when
-available (it is an order of magnitude faster than fractions.Fraction on the
-small values that dominate reduction loops); otherwise we fall back to the
-stdlib. Both types interoperate with Python ints, hash consistently with
-their numeric value, and compare exactly, so the rest of the code never needs
-to know which one it got.
+Polynomial coefficients, characters and series coefficients are rational
+numbers of type QQ. The closure's echelon rows are the exception: they are
+primitive integer vectors (see closure.py), and rationals appear there only
+when polynomials go in or basis rows come out. gmpy2's mpq is used when it
+is installed (the optional "gmpy2" extra); otherwise QQ is the stdlib
+fractions.Fraction. Both types interoperate with Python ints, hash
+consistently with their numeric value, and compare exactly, so the rest of
+the code never needs to know which one it got.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ def rational_from_string(text):
 
 def rational_to_string(q):
     """Canonical text form: integer when integral, 'a/b' otherwise."""
-    q = QQ(q)
+    # basis rendering calls this once per term; QQ(q) of a QQ costs as
+    # much as building it
+    if type(q) is not QQ:
+        q = QQ(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

@@ -400,6 +400,10 @@ def test_alternating_generator_dimensions():
     assert build_module(["vandermonde"], 3, 1).total_dimension() == 6
     assert build_module(["vandermonde"], 3, 2).total_dimension() == 16
     assert build_module(["vandermonde"], 4, 1).total_dimension() == 24
+    assert build_module(["vandermonde"], 4, 2).total_dimension() == 125
+    assert build_module(["vandermonde"], 4, 3).total_dimension() == 400
+    # (n+1)^(n-1): dense rows and many back-substitutions
+    assert build_module(["vandermonde"], 5, 2).total_dimension() == 1296
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +411,8 @@ def test_alternating_generator_dimensions():
 
 
 def test_experiment_fixtures_report_without_failing(capsys):
-    doc, text = run_verify(["experiments"])
+    doc, render = run_verify(["experiments"])
     assert doc["failed"] == 0
     assert doc["reported"] > 0
     assert all(r["status"].startswith("report") for r in doc["results"])
-    print(text)
+    print(render())

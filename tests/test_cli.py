@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from polmod import NotSymmetric, QQ, UsageError, expand_basis, hilbert_series, ring
+from polmod import (
+    FrobeniusSeries,
+    NotSymmetric,
+    QQ,
+    SymSeries,
+    UsageError,
+    expand_basis,
+    hilbert_series,
+    ring,
+)
 from polmod.cli.expressions import (
     expand_family,
     is_family,
@@ -99,7 +108,8 @@ def test_parse_generator_args_mixes_families_and_expressions():
 
 
 def test_frobenius_job_document_shape():
-    doc, text = frobenius_job(["p[2]"], 3, 2)
+    doc, render = frobenius_job(["p[2]"], 3, 2)
+    text = render()
     assert doc["n"] == 3
     assert doc["ell"] == 2
     assert doc["generators"] == ["p[2]"]
@@ -119,7 +129,8 @@ def test_hilbert_job_matches_frobenius_job():
 
 
 def test_basis_job_lists_component_bases():
-    doc, text = basis_job(["e[1]^2"], 2, 1)
+    doc, render = basis_job(["e[1]^2"], 2, 1)
+    text = render()
     dims = {tuple(c["degree"]): c["dimension"] for c in doc["components"]}
     assert dims == {(0,): 1, (1,): 1, (2,): 1}
     assert doc["dimension"] == 3
@@ -139,16 +150,16 @@ def test_full_mu_grows_the_ring_to_the_generator_degree():
 
 
 def test_classify_job_quadratic_and_cubic():
-    doc, text = classify_job(["e[1]^2"], 4, 2)
+    doc, _ = classify_job(["e[1]^2"], 4, 2)
     assert doc["class"] == "P1_SQUARED"
     assert doc["degree"] == 2
     assert doc["coeffs"] == [1, 2]
     assert "exception" not in doc
     # p_3 is a collapse point for every n >= 3
-    doc3, text3 = classify_job(["p[3]"], 4, 2)
+    doc3, render3 = classify_job(["p[3]"], 4, 2)
     assert doc3["class"] == "P3"
     assert doc3["exception"] is True
-    assert "class: P3" in text3
+    assert "class: P3" in render3()
     doc3b, _ = classify_job(["m[2,1]"], 4, 2)
     assert doc3b["class"] == "H3"
     assert doc3b["exception"] is False
@@ -168,7 +179,7 @@ def test_extract_symmetric_coeffs():
 
 
 def test_exceptions_job_points_and_equation():
-    doc, text = exceptions_job(3, ["1,3,6", "1,0,0"])
+    doc, _ = exceptions_job(3, ["1,3,6", "1,0,0"])
     assert doc["n"] == 3
     assert doc["equation"]["lhs"]
     verdicts = {tuple(p["abc"]): (p["exception"], p["class"]) for p in doc["points"]}
@@ -214,10 +225,10 @@ def test_session_builds_a_module_once_per_key(monkeypatch):
 
 
 def test_run_verify_fast_set():
-    doc, text = run_verify(["examples:fast"])
+    doc, render = run_verify(["examples:fast"])
     assert doc["failed"] == 0
     assert doc["checked"] == doc["passed"] + doc["reported"]
-    assert "OK" in text
+    assert "OK" in render()
 
 
 # -- entry point -------------------------------------------------------------
@@ -230,6 +241,18 @@ def test_main_frobenius_json(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dimension"] == 10
+
+
+def test_main_json_output_renders_no_text(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("text rendering in JSON mode")
+
+    monkeypatch.setattr(FrobeniusSeries, "__str__", refuse)
+    monkeypatch.setattr(SymSeries, "__str__", refuse)
+    for mode in ("frobenius", "hilbert", "classify"):
+        argv = [mode, "--gen", "p[3]", "--n", "3", "--ell", "2", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
 
 
 def test_main_usage_errors(capsys):

@@ -1,0 +1,170 @@
+"""Property tests of the closure's canonical echelon form.
+
+Random small homogeneous families with rational coefficients, large coprime
+denominators included, are checked against an independent Gauss-Jordan
+elimination over fractions.Fraction and against the invariants the engine
+relies on: canonical reduced echelon form, independence of insertion order
+and scaling, closure idempotence and GL_ell stability of the dimensions.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from polmod import (
+    GeneratorFamily,
+    GradedSpan,
+    QQ,
+    derivative_closure,
+    polarization_closure,
+    polarization_module,
+    ring,
+)
+
+DENOMINATORS = [1, 2, 3, 4, 9, 7919, 9973, 10007]
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def rationals():
+    return st.builds(
+        QQ,
+        st.integers(-10**6, 10**6).filter(bool),
+        st.sampled_from(DENOMINATORS),
+    )
+
+
+@st.composite
+def shapes(draw):
+    """(ell, n, multidegree) with a small total degree."""
+    ell = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 3))
+    degree = tuple(draw(st.integers(0, 2)) for _ in range(ell))
+    if not sum(degree):
+        degree = (1,) + degree[1:]
+    return ell, n, degree
+
+
+@st.composite
+def monomial_exps(draw, n, degree):
+    """{(i, j): exponent} of a monomial of the given multidegree."""
+    exps = {}
+    for i, di in enumerate(degree, start=1):
+        for _ in range(di):
+            j = draw(st.integers(1, n))
+            exps[(i, j)] = exps.get((i, j), 0) + 1
+    return exps
+
+
+@st.composite
+def families(draw, max_polys=5):
+    """(ring, multidegree, nonzero homogeneous polys of that multidegree)."""
+    ell, n, degree = draw(shapes())
+    r = ring(ell, n)
+    polys = []
+    for _ in range(draw(st.integers(1, max_polys))):
+        f = r.zero()
+        for _ in range(draw(st.integers(1, 4))):
+            f = f + r.monomial(draw(monomial_exps(n, degree)), draw(rationals()))
+        if not f.is_zero():
+            polys.append(f)
+    if not polys:
+        polys.append(r.monomial(draw(monomial_exps(n, degree)), draw(rationals())))
+    return r, degree, polys
+
+
+def as_fraction(q):
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def gauss_jordan(polys):
+    """Reduced row echelon rows {code: Fraction}, pivots descending.
+
+    Columns are monomial codes, greatest first; pivot coefficients are 1.
+    """
+    rows = [{c: as_fraction(q) for c, q in f.terms.items()} for f in polys]
+    columns = sorted({c for row in rows for c in row}, reverse=True)
+    basis = []
+    for col in columns:
+        pick = next((row for row in rows if row.get(col)), None)
+        if pick is None:
+            continue
+        rows.remove(pick)
+        lead = pick[col]
+        pick = {c: v / lead for c, v in pick.items()}
+        for other in rows + basis:
+            factor = other.get(col)
+            if factor:
+                for c, v in pick.items():
+                    s = other.get(c, 0) - factor * v
+                    if s:
+                        other[c] = s
+                    else:
+                        other.pop(c, None)
+        basis.append(pick)
+    return basis
+
+
+def span_of(r, polys):
+    span = GradedSpan(r.ell, r.n)
+    for f in polys:
+        span.insert(f)
+    return span
+
+
+@PROPERTY_SETTINGS
+@given(families())
+def test_component_basis_is_reduced_echelon(family):
+    r, degree, polys = family
+    basis = span_of(r, polys).component_basis(degree)
+    pivots = [max(f.terms) for f in basis]
+    assert pivots == sorted(set(pivots), reverse=True)
+    for f, pivot in zip(basis, pivots):
+        assert f.terms[pivot] == 1
+        assert not any(p in f.terms for p in pivots if p != pivot)
+
+
+@PROPERTY_SETTINGS
+@given(families())
+def test_component_basis_matches_fraction_gauss_jordan(family):
+    r, degree, polys = family
+    basis = span_of(r, polys).component_basis(degree)
+    got = [{c: as_fraction(q) for c, q in f.terms.items()} for f in basis]
+    assert got == gauss_jordan(polys)
+
+
+@PROPERTY_SETTINGS
+@given(families())
+def test_stored_rows_are_primitive_integer_vectors(family):
+    r, degree, polys = family
+    comp = span_of(r, polys).components[degree]
+    for pivot, lead, row in zip(comp.pivots, comp.leads, comp.rows):
+        assert all(type(v) is int for v in row.values())
+        assert max(row) == pivot and row[pivot] == lead > 0
+        assert gcd(*row.values()) == 1
+
+
+@PROPERTY_SETTINGS
+@given(families(), st.randoms(use_true_random=False), st.lists(rationals(), min_size=5, max_size=5))
+def test_span_equality_ignores_order_and_scaling(family, rnd, scales):
+    r, degree, polys = family
+    shuffled = list(polys)
+    rnd.shuffle(shuffled)
+    scaled = [f.scale(q) for f, q in zip(shuffled, scales)]
+    assert span_of(r, polys) == span_of(r, shuffled) == span_of(r, scaled)
+
+
+@PROPERTY_SETTINGS
+@given(families(max_polys=2))
+def test_closure_is_idempotent_and_row_stable(family):
+    r, degree, polys = family
+    module = polarization_module(GeneratorFamily(polys, mode="orbit"))
+    assert derivative_closure(module) == module
+    assert polarization_closure(module) == module
+    basis = [f for d in module.sorted_degrees() for f in module.component_basis(d)]
+    again = polarization_module(GeneratorFamily(basis, mode="verbatim"))
+    assert again == module
+    dims = module.dims()
+    for d, dim in dims.items():
+        assert dims.get(tuple(sorted(d, reverse=True))) == dim

@@ -3,8 +3,10 @@
 import pytest
 
 from polmod import (
+    ConsistencyError,
     FrobeniusSeries,
     GeneratorFamily,
+    GradedSpan,
     QQ,
     UsageError,
     component_isotype,
@@ -16,7 +18,7 @@ from polmod import (
     polarization_module,
     ring,
 )
-from polmod.cli.runner import build_module, checked_frobenius
+from polmod.cli.runner import build_module
 
 
 def module_of(text, n, ell):
@@ -32,7 +34,7 @@ def test_component_isotype_of_the_full_linear_span():
 def test_frobenius_series_of_a_symmetric_square():
     # (x1+...+xn)^2 generates the chain module: trivial isotype everywhere
     module = module_of("e[1]^2", 3, 2)
-    fs = checked_frobenius(module)
+    fs = frobenius_series(module)
     assert fs == oracle_series("deg2", n=3, ell=2, a=1, b=2)
     lams = {lam for (_, lam) in fs.coeffs}
     assert lams == {(3,)}
@@ -40,7 +42,7 @@ def test_frobenius_series_of_a_symmetric_square():
 
 def test_frobenius_series_of_the_power_sum_square():
     module = module_of("p[2]", 3, 2)
-    fs = checked_frobenius(module)
+    fs = frobenius_series(module)
     assert fs == oracle_series("deg2", n=3, ell=2, a=1, b=0)
     assert fs.coeffs[((1,), (2, 1))] == 1
 
@@ -49,7 +51,7 @@ def test_oracle_chain_has_no_spurious_terms_at_n_1():
     fs = oracle_series("p_d", n=1, ell=2, d=3)
     assert {lam for (_, lam) in fs.coeffs} == {(1,)}
     assert sorted(mu for (mu, _) in fs.coeffs) == [(), (1,), (2,), (3,)]
-    engine = checked_frobenius(module_of("p[3]", 1, 2))
+    engine = frobenius_series(module_of("p[3]", 1, 2))
     assert engine == fs
 
 
@@ -100,8 +102,34 @@ def test_hilbert_series_in_both_bases():
 
 def test_consistency_gate_accepts_good_modules():
     module = module_of("m[2,1]", 3, 2)
-    fs = checked_frobenius(module)
+    fs = frobenius_series(module)
     assert fs.dimension(2) == module.total_dimension()
+
+
+def test_consistency_gate_rejects_unstable_spans():
+    r = ring(2, 2)
+    # not stable under swapping the columns: a fractional multiplicity
+    span = GradedSpan(2, 2)
+    span.insert(r.var(1, 1))
+    with pytest.raises(ConsistencyError, match="fractional multiplicity"):
+        frobenius_series(span)
+    # column-stable but not row-stable: multiplicities are not symmetric in q
+    span = GradedSpan(2, 2)
+    span.insert(r.var(1, 1) + r.var(1, 2))
+    with pytest.raises(ConsistencyError, match="not symmetric"):
+        frobenius_series(span)
+
+
+def test_consistency_gate_checks_the_module_dimension():
+    class Miscounted(GradedSpan):
+        def total_dimension(self):
+            return super().total_dimension() + 1
+
+    span = Miscounted(1, 2)
+    r = ring(1, 2)
+    span.insert(r.var(1, 1) + r.var(1, 2))
+    with pytest.raises(ConsistencyError, match="series dimension 1"):
+        frobenius_series(span)
 
 
 def test_full_dimension_accounting_against_hilbert():
