@@ -8,7 +8,7 @@ decompositions, bigraded series, closed-form predictions), exceptions
 (degree 2 and 3 classification with its determinant apparatus).
 """
 
-from .closure import GeneratorFamily, GradedSpan, derivative_closure, polarization_closure, polarization_module
+from .closure import GeneratorFamily, GradedSpan, polarization_module
 from .errors import ConsistencyError, NonHomogeneous, NotSymmetric, PolmodError, UsageError, ZeroPolynomial
 from .exceptions import aux_poly, build_matrix, classify, det_identity_check, det_T, exception_equation, gcd_form_check, h_gram_check, is_n_exception, rank_lower_bound_check
 from .frobenius import FrobeniusSeries, component_character, component_isotype, frobenius_series, hilbert_series, hilbert_series_h, oracle_series
@@ -37,7 +37,6 @@ __all__ = [
     "classify",
     "component_character",
     "component_isotype",
-    "derivative_closure",
     "det_T",
     "det_identity_check",
     "diag_power_sum",
@@ -53,7 +52,6 @@ __all__ = [
     "mn_character",
     "multi_elementary",
     "oracle_series",
-    "polarization_closure",
     "polarization_module",
     "rank_lower_bound_check",
     "ring",

@@ -175,7 +175,13 @@ class _Parser:
 
 def parse_expression(text, r):
     """One generator expression -> Poly in the ring r."""
-    return _Parser(text, r).parse()
+    try:
+        return _Parser(text, r).parse()
+    except ValueError as exc:  # polyring refuses degrees above the cap
+        raise UsageError(
+            "generator %r has a degree above the packed-exponent cap %d (%s)"
+            % (text, MAX_TOTAL_DEGREE, exc)
+        ) from None
 
 
 _FAMILY_RE = re.compile(r"family:([ABCT]):(\d+)$")

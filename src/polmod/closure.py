@@ -18,10 +18,23 @@ and basis rows go out divided by their pivot coefficient. Because every row's mo
 bounded by its own pivot, a single descending pass over the rows fully
 reduces a candidate.
 
-The module builder closes the span of a stable generator family under all
-first partial derivatives and all polarization operators by a worklist, with
-the polarization order bounded per row by the source-row degree (higher
-orders annihilate, so the operator set is finite and the bound is exact).
+The polarization module of a stable generator family is the smallest space
+containing it that is closed under every first partial d/dx[i,j] and every
+polarization E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p. The worklist applies
+only the row-1 partials d/dx[1,j], the E[i,k]^(1) with i != k, and the
+E[1,1]^(p) with 2 <= p <= d_1 (orders above the source-row degree
+annihilate). Its fixpoint W is closed under the rest, since a space closed
+under two operators is closed under their commutator:
+
+- d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)] for k >= 2.
+- W is multigraded, so the diagonal torus of GL_ell acts on it by scalars;
+  the exponentials of the locally nilpotent E[i,k]^(1), i != k, are the
+  transvections, which with the torus generate GL_ell. So W is GL_ell-stable
+  (a finite-dimensional gl_ell-module), in particular under the row swap
+  sigma = (1 k), and E[k,k]^(p) = sigma E[1,1]^(p) sigma.
+- E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)] for i != k.
+
+No such argument covers E[1,1]^(p) for p >= 3, so it is applied.
 """
 
 from __future__ import annotations
@@ -179,15 +192,6 @@ class GradedSpan:
             for lead, row in zip(comp.leads, comp.rows)
         ]
 
-    def copy(self):
-        dup = GradedSpan(self.ell, self.n, self.generators_text)
-        for d, comp in self.components.items():
-            c2 = dup.component(d)
-            c2.pivots = list(comp.pivots)
-            c2.leads = list(comp.leads)
-            c2.rows = [dict(row) for row in comp.rows]
-        return dup
-
     def __eq__(self, other):
         if not isinstance(other, GradedSpan):
             return NotImplemented
@@ -292,38 +296,38 @@ def _check_span_stable(polys, n):
 # closure operators
 
 
-def _operators(r, degree, use_derive, use_polarize):
-    """(target degree, moves, order) of every closure operator on V_degree.
+def _operators(r, degree):
+    """(target degree, moves, order) of each closure operator on V_degree.
 
-    All first partials by (row i, column j), then the polarizations E[i,k]
-    of order p up to the row-k degree, by (k, i, p). The Euler case
-    (i == k, p == 1) is skipped: it scales each component and never
-    enlarges the span.
+    The row-1 partials d/dx[1,j] by column j, the first-order polarizations
+    E[i,k]^(1), i != k, by (k, i), then the row-1 self-polarizations
+    E[1,1]^(p), 2 <= p <= d_1. The module docstring proves every other
+    derivative and polarization redundant: d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)],
+    E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row swap sigma = (1 k) (the
+    fixpoint is GL_ell-stable) and E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)]. The
+    Euler operators E[k,k]^(1) only scale a component.
     """
+    d1 = degree[0]
     ops = []
-    if use_derive:
+    if d1:
+        lowered = (d1 - 1,) + degree[1:]
+        for j in range(1, r.n + 1):
+            ops.append((lowered, r.derivative_moves(1, j), 1))
+    for k in range(1, r.ell + 1):
         for i in range(1, r.ell + 1):
-            if degree[i - 1] == 0:
-                continue
-            dd = degree[: i - 1] + (degree[i - 1] - 1,) + degree[i:]
-            for j in range(1, r.n + 1):
-                ops.append((dd, r.derivative_moves(i, j), 1))
-    if use_polarize:
-        for k in range(1, r.ell + 1):
-            for i in range(1, r.ell + 1):
-                moves = r.polarization_moves(i, k)
-                for p in range(1, degree[k - 1] + 1):
-                    if i == k and p == 1:
-                        continue
-                    lowered = list(degree)
-                    lowered[k - 1] -= p
-                    lowered[i - 1] += 1
-                    ops.append((tuple(lowered), moves, p))
+            if i != k and degree[k - 1]:
+                lowered = list(degree)
+                lowered[k - 1] -= 1
+                lowered[i - 1] += 1
+                ops.append((tuple(lowered), r.polarization_moves(i, k), 1))
+    moves = r.polarization_moves(1, 1)
+    for p in range(2, d1 + 1):
+        ops.append(((d1 - p + 1,) + degree[1:], moves, p))
     return ops
 
 
-def _close(span, use_derive, use_polarize):
-    """Worklist closure of a span under the selected operator families.
+def _close(span):
+    """Worklist closure of a span under the operators of _operators.
 
     Pending rows are processed in increasing (|d|, d); every successful
     insertion queues a snapshot of the reduced new row. Later insertions may
@@ -343,7 +347,7 @@ def _close(span, use_derive, use_polarize):
     while heap:
         _, d, _, terms = heapq.heappop(heap)
         if d not in ops:
-            ops[d] = _operators(r, d, use_derive, use_polarize)
+            ops[d] = _operators(r, d)
         for dd, moves, p in ops[d]:
             out = apply_operator(terms, moves, p)
             if not out:
@@ -388,26 +392,12 @@ def _insert_at(comp, w):
     return lo
 
 
-def derivative_closure(span):
-    """Smallest span containing the input, closed under all first partials."""
-    return _close(span.copy(), use_derive=True, use_polarize=False)
-
-
-def polarization_closure(span):
-    """Smallest span containing the input, closed under all polarizations."""
-    return _close(span.copy(), use_derive=False, use_polarize=True)
-
-
-def polarization_module(family, ell=None, n=None):
+def polarization_module(family):
     """The polarization module of a stable family: joint closure fixpoint."""
-    if isinstance(family, GeneratorFamily):
-        fam = family
-    else:
+    if not isinstance(family, GeneratorFamily):
         raise TypeError("expected a GeneratorFamily")
-    r = fam.ring
-    if ell is not None and ell != r.ell or n is not None and n != r.n:
-        raise UsageError("family ring does not match requested (ell, n)")
-    span = GradedSpan(r.ell, r.n, fam.text)
-    for f in fam.polys:
+    r = family.ring
+    span = GradedSpan(r.ell, r.n, family.text)
+    for f in family.polys:
         span.insert(f)
-    return _close(span, use_derive=True, use_polarize=True)
+    return _close(span)

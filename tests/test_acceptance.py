@@ -14,13 +14,10 @@ from math import comb, factorial
 import pytest
 
 from polmod import (
-    GeneratorFamily,
-    GradedSpan,
     QQ,
     UsageError,
     build_matrix,
     classify,
-    derivative_closure,
     det_T,
     det_identity_check,
     exception_equation,
@@ -29,7 +26,6 @@ from polmod import (
     h_gram_check,
     is_n_exception,
     oracle_series,
-    polarization_closure,
     ring,
 )
 from polmod.cli.runner import build_module
@@ -300,6 +296,44 @@ def test_derivative_polarization_commutator():
         assert lhs == rhs, (ell, n, alpha, beta, i, k, p)
 
 
+def _random_poly_with_row_degree(rng, r, k, p):
+    """A random homogeneous polynomial whose row k has degree at least p."""
+    d = [rng.randint(0, 2) for _ in range(r.ell)]
+    d[k - 1] = rng.randint(p, 4)
+    return random_nonzero_homogeneous(rng, r, tuple(d), terms=3)
+
+
+def test_off_diagonal_polarization_order_commutator():
+    """E_{i,k}^{(1)} E_{k,k}^{(p)} - E_{k,k}^{(p)} E_{i,k}^{(1)} = E_{i,k}^{(p)}, i != k."""
+    rng = seeded("acceptance-order-commutator")
+    for _ in range(50):
+        ell = rng.choice((2, 3))
+        n = rng.choice((2, 3))
+        r = ring(ell, n)
+        i, k = rng.sample(range(1, ell + 1), 2)
+        p = rng.randint(1, 4)
+        g = _random_poly_with_row_degree(rng, r, k, p)
+        lhs = g.polarize(k, k, p).polarize(i, k, 1) - g.polarize(i, k, 1).polarize(k, k, p)
+        assert lhs == g.polarize(i, k, p), (ell, n, i, k, p)
+
+
+def test_row_swap_conjugates_row_one_self_polarization():
+    """sigma E_{1,1}^{(p)} sigma = E_{k,k}^{(p)} for the row swap sigma = (1 k)."""
+    rng = seeded("acceptance-row-swap")
+    for _ in range(50):
+        ell = rng.choice((2, 3))
+        n = rng.choice((2, 3))
+        r = ring(ell, n)
+        k = rng.randint(2, ell)
+        p = rng.randint(1, 4)
+        g = _random_poly_with_row_degree(rng, r, k, p)
+        rows = list(range(ell))
+        rows[0], rows[k - 1] = rows[k - 1], rows[0]
+        swap = [[QQ(int(b == rows[a])) for b in range(ell)] for a in range(ell)]
+        lhs = g.apply_row_matrix(swap).polarize(1, 1, p).apply_row_matrix(swap)
+        assert lhs == g.polarize(k, k, p), (ell, n, k, p)
+
+
 def test_column_permutation_equivariance():
     """Permuting columns commutes with polarization and twists derivatives."""
     rng = seeded("acceptance-equivariance")
@@ -367,28 +401,6 @@ def test_row_substitution_expands_into_spread_components():
         assert lhs == rhs, (ell, n, m, t)
         d = degs[rng.randrange(len(degs))]
         assert f.polarization_up(d).restitution(d) == f, (ell, n, m, d)
-
-
-# ---------------------------------------------------------------------------
-# closure order
-
-
-def test_derivative_and_polarization_closures_commute():
-    rng = seeded("acceptance-closure-order")
-    for _ in range(20):
-        n = rng.choice((2, 3, 4))
-        r = ring(2, n)
-        total = rng.randint(1, 4)
-        d1 = rng.randint(0, total)
-        f = random_nonzero_homogeneous(rng, r, (d1, total - d1), terms=3)
-        family = GeneratorFamily([f], mode="orbit")
-        span = GradedSpan(r.ell, r.n)
-        for g in family.polys:
-            span.insert(g)
-        one_way = polarization_closure(derivative_closure(span))
-        other_way = derivative_closure(polarization_closure(span))
-        assert one_way.dims() == other_way.dims()
-        assert one_way == other_way
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,11 @@ def test_main_usage_errors(capsys):
     assert main(["frobenius", "--gen", "p[2]", "--n", "0"]) == 1
     assert main([]) == 1
     capsys.readouterr()
+    # degrees above the packed-exponent cap of 30
+    for gen in ("x[1,1]^40", "m[40]", "p[31]"):
+        assert main(["hilbert", "--gen=" + gen, "--n", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "cap 30" in err
 
 
 def test_main_threads_flag_is_a_usage_error(capsys):

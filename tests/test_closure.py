@@ -7,9 +7,7 @@ from polmod import (
     GradedSpan,
     QQ,
     UsageError,
-    derivative_closure,
     expand_basis,
-    polarization_closure,
     polarization_module,
     ring,
 )
@@ -101,25 +99,6 @@ def test_module_of_single_variable_orbit():
     assert module.dims() == {(0, 0): 1, (1, 0): 3, (0, 1): 3}
 
 
-def test_derivative_closure_only_descends():
-    r = ring(1, 2)
-    e1 = r.var(1, 1) + r.var(1, 2)
-    span = GradedSpan(1, 2)
-    span.insert(e1 * e1)
-    closed = derivative_closure(span)
-    assert closed.dims() == {(2,): 1, (1,): 1, (0,): 1}
-    # the original span object is untouched
-    assert span.dims() == {(2,): 1}
-
-
-def test_polarization_closure_only_moves_rows():
-    r = ring(2, 2)
-    span = GradedSpan(2, 2)
-    span.insert(r.var(1, 1))
-    closed = polarization_closure(span)
-    assert closed.dims() == {(1, 0): 1, (0, 1): 1}
-
-
 def test_polarization_module_matches_manual_fixpoint():
     rng = seeded("fixpoint")
     r = ring(2, 3)
@@ -157,7 +136,8 @@ def test_module_json_dict_shape():
         assert len(comp["basis"]) == comp["dimension"]
 
 
-def test_mismatched_ring_request_is_refused():
-    fam = GeneratorFamily([ring(1, 2).var(1, 1)], mode="orbit")
-    with pytest.raises(UsageError):
-        polarization_module(fam, ell=2, n=2)
+def test_polarization_module_needs_a_generator_family():
+    span = GradedSpan(1, 2)
+    span.insert(ring(1, 2).var(1, 1))
+    with pytest.raises(TypeError):
+        polarization_module(span)

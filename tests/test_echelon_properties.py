@@ -4,7 +4,9 @@ Random small homogeneous families with rational coefficients, large coprime
 denominators included, are checked against an independent Gauss-Jordan
 elimination over fractions.Fraction and against the invariants the engine
 relies on: canonical reduced echelon form, independence of insertion order
-and scaling, closure idempotence and GL_ell stability of the dimensions.
+and scaling, closure under every derivative and polarization (the closure
+applies only some of them), closure idempotence, GL_ell stability of the
+dimensions, and equivariance under row and column permutations.
 """
 
 from fractions import Fraction
@@ -16,8 +18,6 @@ from polmod import (
     GeneratorFamily,
     GradedSpan,
     QQ,
-    derivative_closure,
-    polarization_closure,
     polarization_module,
     ring,
 )
@@ -38,7 +38,7 @@ def rationals():
 @st.composite
 def shapes(draw):
     """(ell, n, multidegree) with a small total degree."""
-    ell = draw(st.integers(1, 2))
+    ell = draw(st.integers(1, 3))
     n = draw(st.integers(2, 3))
     degree = tuple(draw(st.integers(0, 2)) for _ in range(ell))
     if not sum(degree):
@@ -160,11 +160,32 @@ def test_span_equality_ignores_order_and_scaling(family, rnd, scales):
 def test_closure_is_idempotent_and_row_stable(family):
     r, degree, polys = family
     module = polarization_module(GeneratorFamily(polys, mode="orbit"))
-    assert derivative_closure(module) == module
-    assert polarization_closure(module) == module
     basis = [f for d in module.sorted_degrees() for f in module.component_basis(d)]
+    # closed under every operator of the definition, not only those applied
+    for g in basis:
+        d = g.multidegree()
+        for i in range(1, r.ell + 1):
+            for j in range(1, r.n + 1):
+                assert module.member(g.derive(i, j))
+            for k in range(1, r.ell + 1):
+                for p in range(1, d[k - 1] + 1):
+                    assert module.member(g.polarize(i, k, p))
     again = polarization_module(GeneratorFamily(basis, mode="verbatim"))
     assert again == module
     dims = module.dims()
     for d, dim in dims.items():
         assert dims.get(tuple(sorted(d, reverse=True))) == dim
+
+
+@PROPERTY_SETTINGS
+@given(families(max_polys=2), st.data())
+def test_module_is_equivariant_under_row_and_column_permutations(family, data):
+    r, degree, polys = family
+    module = polarization_module(GeneratorFamily(polys, mode="orbit"))
+    basis = [f for d in module.sorted_degrees() for f in module.component_basis(d)]
+    rows = data.draw(st.permutations(range(r.ell)))
+    matrix = [[QQ(int(b == rows[a])) for b in range(r.ell)] for a in range(r.ell)]
+    columns = tuple(data.draw(st.permutations(range(1, r.n + 1))))
+    for act in (lambda f: f.apply_row_matrix(matrix), lambda f: f.permute(columns)):
+        moved = polarization_module(GeneratorFamily([act(f) for f in polys], mode="orbit"))
+        assert moved == span_of(r, [act(f) for f in basis])
