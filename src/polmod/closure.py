@@ -21,11 +21,16 @@ reduces a candidate.
 The polarization module of a stable generator family is the smallest space
 containing it that is closed under every first partial d/dx[i,j] and every
 polarization E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p. The worklist applies
-only the row-1 partials d/dx[1,j], the E[i,k]^(1) with i != k, and the
-E[1,1]^(p) with 2 <= p <= d_1 (orders above the source-row degree
-annihilate). Its fixpoint W is closed under the rest, since a space closed
-under two operators is closed under their commutator:
+only the row-1 partials D_j = d/dx[1,j], the adjacent polarizations
+E[i,i+1]^(1) and E[i+1,i]^(1), and the E[1,1]^(p) with 2 <= p <= d_1
+(orders above the source-row degree annihilate). Its fixpoint W is closed
+under the rest, since a space closed under two operators is closed under
+their commutator:
 
+- E[i,k]^(1) for |i - k| >= 2 is an iterated commutator of adjacent ones:
+  [E[i,j]^(1), E[j,k]^(1)] = E[i,k]^(1) for i != k, so by induction on
+  |i - k| (j = i + 1 or i - 1), W is closed under every E[i,k]^(1), i != k.
+  For example E[1,3]^(1) = [E[1,2]^(1), E[2,3]^(1)].
 - d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)] for k >= 2.
 - W is multigraded, so the diagonal torus of GL_ell acts on it by scalars;
   the exponentials of the locally nilpotent E[i,k]^(1), i != k, are the
@@ -35,6 +40,26 @@ under two operators is closed under their commutator:
 - E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)] for i != k.
 
 No such argument covers E[1,1]^(p) for p >= 3, so it is applied.
+
+The worklist also skips some applications to single rows. Every queued
+snapshot remembers the operator E = E[i,k]^(1) that created it, if any, and
+its children skip:
+
+- every D_j when i != 1, because [D_j, E[i,k]^(1)] = delta_{i1} d/dx[k,j];
+- also every E[1,1]^(p) when i != 1 and k != 1, because the two operators
+  act on disjoint rows and commute.
+
+Proof that W is still closed under every applied operator A. W is the span
+of all snapshots. No E[i,k]^(1) is ever skipped, so E W is in W for each
+applied E. Claim: A s is in W for every snapshot s; induction over the
+order in which snapshots are created. A is applied to s unless s was
+created from a snapshot t by some E with [A, E] = 0. Then
+s = a E t + (sum of rows stored in the same component before s was
+inserted), and those rows lie in the span of snapshots created before s.
+So A s = a E (A t) + (sum of A applied to earlier snapshots), which is in
+W: t and the earlier snapshots were created before s, so A t and the rest
+are in W by induction, and E W is in W. The base case is the generator
+rows, which skip nothing.
 """
 
 from __future__ import annotations
@@ -296,33 +321,50 @@ def _check_span_stable(polys, n):
 # closure operators
 
 
-def _operators(r, degree):
-    """(target degree, moves, order) of each closure operator on V_degree.
+# operator kinds a snapshot may skip, as bits of the mask in _operators
+_ROW1_PARTIALS = 1
+_ROW1_SELF_POLARIZATIONS = 2
 
-    The row-1 partials d/dx[1,j] by column j, the first-order polarizations
-    E[i,k]^(1), i != k, by (k, i), then the row-1 self-polarizations
+
+def _operators(r, degree):
+    """(target degree, moves, order, kind, skip) of each closure operator on
+    V_degree.
+
+    The row-1 partials d/dx[1,j] by column j, the adjacent polarizations
+    E[i,k]^(1), |i - k| = 1, by (k, i), then the row-1 self-polarizations
     E[1,1]^(p), 2 <= p <= d_1. The module docstring proves every other
-    derivative and polarization redundant: d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)],
+    derivative and polarization redundant: E[i,k]^(1) is an iterated
+    commutator of adjacent ones, d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)],
     E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row swap sigma = (1 k) (the
     fixpoint is GL_ell-stable) and E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)]. The
     Euler operators E[k,k]^(1) only scale a component.
+
+    kind is the operator's bit (0 for E[i,k]^(1), which is never skipped);
+    skip holds the bits of the operators that commute with it, which the
+    rows it creates are not given: d/dx[1,j] commutes with E[i,k]^(1) for
+    i != 1, and E[1,1]^(p) for i, k != 1.
     """
     d1 = degree[0]
     ops = []
     if d1:
         lowered = (d1 - 1,) + degree[1:]
         for j in range(1, r.n + 1):
-            ops.append((lowered, r.derivative_moves(1, j), 1))
+            ops.append((lowered, r.derivative_moves(1, j), 1, _ROW1_PARTIALS, 0))
     for k in range(1, r.ell + 1):
-        for i in range(1, r.ell + 1):
-            if i != k and degree[k - 1]:
+        for i in (k - 1, k + 1):
+            if 1 <= i <= r.ell and degree[k - 1]:
                 lowered = list(degree)
                 lowered[k - 1] -= 1
                 lowered[i - 1] += 1
-                ops.append((tuple(lowered), r.polarization_moves(i, k), 1))
+                skip = 0
+                if i != 1:
+                    skip = _ROW1_PARTIALS
+                    if k != 1:
+                        skip |= _ROW1_SELF_POLARIZATIONS
+                ops.append((tuple(lowered), r.polarization_moves(i, k), 1, 0, skip))
     moves = r.polarization_moves(1, 1)
     for p in range(2, d1 + 1):
-        ops.append(((d1 - p + 1,) + degree[1:], moves, p))
+        ops.append(((d1 - p + 1,) + degree[1:], moves, p, _ROW1_SELF_POLARIZATIONS, 0))
     return ops
 
 
@@ -330,32 +372,35 @@ def _close(span):
     """Worklist closure of a span under the operators of _operators.
 
     Pending rows are processed in increasing (|d|, d); every successful
-    insertion queues a snapshot of the reduced new row. Later insertions may
-    rewrite stored rows (back-substitution), but each rewrite subtracts rows
-    that are themselves queued, so the processed snapshots still span the
-    final space and the closure argument goes through unchanged.
+    insertion queues a snapshot of the reduced new row, with the skip mask
+    of the operator that created it. Later insertions may rewrite stored
+    rows (back-substitution), but each rewrite subtracts rows that are
+    themselves queued, so the processed snapshots still span the final space
+    and the closure argument (module docstring) goes through unchanged.
     """
     r = span.ring
     heap = []
     seq = 0
     for d in sorted(span.components, key=lambda d: (sum(d), d)):
         for row in span.components[d].rows:
-            heapq.heappush(heap, (sum(d), d, seq, dict(row)))
+            heapq.heappush(heap, (sum(d), d, seq, dict(row), 0))
             seq += 1
 
     ops = {}
     while heap:
-        _, d, _, terms = heapq.heappop(heap)
+        _, d, _, terms, skipped = heapq.heappop(heap)
         if d not in ops:
             ops[d] = _operators(r, d)
-        for dd, moves, p in ops[d]:
+        for dd, moves, p, kind, skip in ops[d]:
+            if kind & skipped:
+                continue
             out = apply_operator(terms, moves, p)
             if not out:
                 continue
             comp = span.component(dd)
             pos = _insert_at(comp, out)
             if pos is not None:
-                heapq.heappush(heap, (sum(dd), dd, seq, dict(comp.rows[pos])))
+                heapq.heappush(heap, (sum(dd), dd, seq, dict(comp.rows[pos]), skip))
                 seq += 1
     return span
 

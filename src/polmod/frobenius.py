@@ -23,9 +23,9 @@ from .polyring import inverse_permutation, ring
 from .rationals import QQ, as_int, rational_to_json, rational_to_string
 from .symfunc import (
     SymSeries,
+    character_table,
     cycle_types,
     is_partition,
-    mn_character,
     partitions_of,
     schur_to_h,
     syt_count,
@@ -62,12 +62,13 @@ def component_isotype(module, d):
     values = {
         ct.parts: component_character(module, d, ct.representative) for ct in cts
     }
+    chi = character_table(n)
     order = factorial(n)
     out = {}
     for lam in partitions_of(n):
         s = 0
         for ct in cts:
-            s += ct.size * values[ct.parts] * mn_character(lam, ct.parts)
+            s += ct.size * values[ct.parts] * chi[(lam, ct.parts)]
         if s % order != 0:
             raise ConsistencyError(
                 "fractional multiplicity %s/%s for %s on component %s"

@@ -57,6 +57,11 @@ class PolyRing:
             (self.ncells - 1 - idx) * EXP_BITS for idx in range(self.ncells)
         ]
         self.places = [1 << s for s in self.shifts]
+        # column j's cells in every row, for moving whole columns at once
+        self.column_masks = [
+            sum(EXP_MASK << self.shifts[i * n + j] for i in range(ell))
+            for j in range(n)
+        ]
 
     # -- codec ------------------------------------------------------------
 
@@ -101,14 +106,19 @@ class PolyRing:
         return tuple(row)
 
     def permute_code(self, code, images):
-        """Relabel columns: j -> images[j-1] in every row (diagonal action)."""
-        n = self.n
-        exps = self.unpack(code)
+        """Relabel columns: j -> images[j-1] in every row (diagonal action).
+
+        Column j's cells, masked out together, move images[j-1] - j cells
+        towards the less significant end.
+        """
         out = 0
-        for idx, a in enumerate(exps):
-            if a:
-                i, j = divmod(idx, n)
-                out += a << self.shifts[i * n + images[j] - 1]
+        for j, (mask, image) in enumerate(zip(self.column_masks, images), start=1):
+            cells = code & mask
+            if cells:
+                if image > j:
+                    out |= cells >> (image - j) * EXP_BITS
+                else:
+                    out |= cells << (j - image) * EXP_BITS
         return out
 
     # -- operator moves (see apply_operator) -------------------------------

@@ -12,6 +12,7 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polmod import (
     QQ,
@@ -74,9 +75,12 @@ def _cubic_gen(a, b, c):
 
 
 def test_power_and_elementary_series_match_oracle_over_full_grid():
-    """e_1^d, p_d and e_d for d 1..5, n 2..6, ell 1..3, all exact."""
+    """e_1^d, p_d and e_d for d 1..5, n 2..6, ell 1..3, and for d 1..4,
+    n 2..4 at ell = 4 (non-adjacent row pairs), all exact."""
     t0 = time.time()
-    for d, n, ell in product(range(1, 6), range(2, 7), (1, 2, 3)):
+    grid = list(product(range(1, 6), range(2, 7), (1, 2, 3)))
+    grid += product(range(1, 5), range(2, 5), (4,))
+    for d, n, ell in grid:
         jobs = (
             ("e1_power", "e[1]^%d" % d),
             ("p_d", "p[%d]" % d),
@@ -93,6 +97,46 @@ def test_power_and_elementary_series_match_oracle_over_full_grid():
                 continue
             assert _series_match(module, kind, n=n, ell=ell, d=d), (kind, d, n, ell)
     assert time.time() - t0 < 300
+
+
+ORACLE_GENERATORS = {
+    "e1_power": "e[1]^%d",
+    "p_d": "p[%d]",
+    "e_d": "e[%d]",
+    "family_A": "family:A:%d",
+    "family_B": "family:B:%d",
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(ORACLE_GENERATORS) + ["deg2", "deg3"]),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.lists(
+        st.fractions(-9, 9, max_denominator=4).map(QQ).filter(bool),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_engine_matches_oracle_at_random_grid_points(kind, d, n, ell, abc):
+    """Any closed form at a random (d, n, ell), ell up to 4 and n down to 1;
+    deg2 and deg3 draw nonzero rational coefficients and need n >= 2."""
+    a, b, c = abc
+    if kind in ("deg2", "deg3"):
+        assume(n >= 2)
+    if kind == "deg2":
+        module = build_module([_quadratic_gen(a, b)], n, ell)
+        expected = oracle_series(kind, n=n, ell=ell, a=a, b=b)
+    elif kind == "deg3":
+        module = build_module([_cubic_gen(a, b, c)], n, ell)
+        expected = oracle_series(kind, n=n, ell=ell, a=a, b=b, c=c)
+    else:
+        assume(not (kind == "e_d" and d > n) and not (kind == "family_B" and n < 2))
+        module = build_module([ORACLE_GENERATORS[kind] % d], n, ell)
+        expected = oracle_series(kind, n=n, ell=ell, d=d)
+    assert frobenius_series(module).coeffs == expected.coeffs
 
 
 def test_two_parameter_families_match_oracle():

@@ -119,6 +119,27 @@ def test_permute_is_left_action():
         assert f.permute(s).permute(t) == f.permute(compose(t, s))
 
 
+def _relabel_cell_by_cell(r, code, images):
+    """Reference column relabelling: unpack every cell and repack it."""
+    out = 0
+    for idx, a in enumerate(r.unpack(code)):
+        if a:
+            i, j = divmod(idx, r.n)
+            out += a << r.shifts[i * r.n + images[j] - 1]
+    return out
+
+
+@pytest.mark.parametrize("ell,n", [(1, 1), (3, 5), (3, 10)])
+def test_permute_code_matches_cell_by_cell_relabelling(ell, n):
+    r = ring(ell, n)
+    rng = seeded("permute_code", ell * 100 + n)
+    for _ in range(300):
+        # every cell may hold any 5-bit exponent: up to 150-bit codes
+        code = rng.getrandbits(r.ncells * 5)
+        images = random_permutation(rng, n)
+        assert r.permute_code(code, images) == _relabel_cell_by_cell(r, code, images)
+
+
 def test_permute_respects_products_and_rejects_bad_input():
     r = ring(1, 3)
     f = r.var(1, 1) + 2 * r.var(1, 2)
