@@ -22,7 +22,8 @@ The polarization module of a stable generator family is the smallest space
 containing it that is closed under every first partial d/dx[i,j] and every
 polarization E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p. The worklist applies
 only the row-1 partials D_j = d/dx[1,j], the adjacent polarizations
-E[i,i+1]^(1) and E[i+1,i]^(1), and the E[1,1]^(p) with 2 <= p <= d_1
+E[i,i+1]^(1) (raising: degree moves up to row i) and E[i+1,i]^(1)
+(lowering: degree moves down to row i + 1), and E[1,1]^(2) and E[1,1]^(3)
 (orders above the source-row degree annihilate). Its fixpoint W is closed
 under the rest, since a space closed under two operators is closed under
 their commutator:
@@ -32,6 +33,10 @@ their commutator:
   |i - k| (j = i + 1 or i - 1), W is closed under every E[i,k]^(1), i != k.
   For example E[1,3]^(1) = [E[1,2]^(1), E[2,3]^(1)].
 - d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)] for k >= 2.
+- E[1,1]^(p) for p >= 4: per column, [x d^2, x d^p] = (2 - p) x d^(p+1)
+  (d = d/dx[1,j]; columns commute), so summing over j,
+  E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] / (2 - p) for p >= 3, and by
+  induction on p from E[1,1]^(3), W is closed under every E[1,1]^(p).
 - W is multigraded, so the diagonal torus of GL_ell acts on it by scalars;
   the exponentials of the locally nilpotent E[i,k]^(1), i != k, are the
   transvections, which with the torus generate GL_ell. So W is GL_ell-stable
@@ -39,27 +44,41 @@ their commutator:
   sigma = (1 k), and E[k,k]^(p) = sigma E[1,1]^(p) sigma.
 - E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)] for i != k.
 
-No such argument covers E[1,1]^(p) for p >= 3, so it is applied.
+No such argument covers E[1,1]^(3), so it is applied.
 
 The worklist also skips some applications to single rows. Every queued
 snapshot remembers the operator E = E[i,k]^(1) that created it, if any, and
 its children skip:
 
+- every raising E[j,j+1]^(1) when E is lowering, E = E[i+1,i]^(1);
 - every D_j when i != 1, because [D_j, E[i,k]^(1)] = delta_{i1} d/dx[k,j];
 - also every E[1,1]^(p) when i != 1 and k != 1, because the two operators
   act on disjoint rows and commute.
 
-Proof that W is still closed under every applied operator A. W is the span
-of all snapshots. No E[i,k]^(1) is ever skipped, so E W is in W for each
-applied E. Claim: A s is in W for every snapshot s; induction over the
-order in which snapshots are created. A is applied to s unless s was
-created from a snapshot t by some E with [A, E] = 0. Then
-s = a E t + (sum of rows stored in the same component before s was
+Proof that W is still closed under every applied operator. W is the span
+of all snapshots. A snapshot s created from a snapshot t by an operator E
+is s = a E t + (sum of rows stored in the same component before s was
 inserted), and those rows lie in the span of snapshots created before s.
-So A s = a E (A t) + (sum of A applied to earlier snapshots), which is in
-W: t and the earlier snapshots were created before s, so A t and the rest
-are in W by induction, and E W is in W. The base case is the generator
-rows, which skip nothing.
+The base case of each induction below is the generator rows, which skip
+nothing.
+
+1. No lowering E[i+1,i]^(1) is ever skipped, so E W is in W for each.
+2. Raising. Claim: A s is in W for every snapshot s and every raising
+   A = E[j,j+1]^(1); induction over the order in which snapshots are
+   created. A is applied to s unless s was created from t by a lowering
+   E = E[i+1,i]^(1). The first-order polarizations satisfy the gl_ell
+   relations, so [A, E] = delta_ij (E[i,i]^(1) - E[i+1,i+1]^(1)), which
+   acts on t, of multidegree d, as the scalar delta_ij (d_i - d_{i+1}).
+   Then A s = a E (A t) + a delta_ij (d_i - d_{i+1}) t + (sum of A applied
+   to earlier snapshots). A t and the rest are in W by induction, E (A t)
+   is in W by step 1, and t is in W.
+3. By steps 1 and 2 and the commutators above, W is closed under every
+   E[i,k]^(1), i != k. Claim: A s is in W for every snapshot s and every
+   applied A = D_j or E[1,1]^(p); again by induction over creation order.
+   A is applied to s unless s was created from t by some E = E[i,k]^(1)
+   with [A, E] = 0. Then A s = a E (A t) + (sum of A applied to earlier
+   snapshots), which is in W: A t and the rest are in W by induction, and
+   E W is in W.
 """
 
 from __future__ import annotations
@@ -87,10 +106,24 @@ class Component:
     def dimension(self):
         return len(self.rows)
 
-    def coefficient(self, idx, code):
-        """Coefficient of monomial code in row idx scaled to pivot 1 (QQ)."""
-        v = self.rows[idx].get(code)
-        return QQ(v, self.leads[idx]) if v else 0
+    def pivot_sum(self, codes):
+        """Sum over the rows of each row's coefficient at its code in codes
+        (an iterable, one code per row), the row scaled to pivot 1, as
+        (numerator, denominator) integers.
+
+        The numerators are summed over the lcm of the pivot coefficients of
+        the rows that contribute, so no rational is built.
+        """
+        total, den = 0, 1
+        for code, lead, row in zip(codes, self.leads, self.rows):
+            v = row.get(code)
+            if v:
+                if den % lead:
+                    g = lcm(den, lead)
+                    total *= g // den
+                    den = g
+                total += v * (den // lead)
+        return total, den
 
     def reduce(self, w):
         """Fully reduce int dict w against the basis, in place; returns w.
@@ -324,6 +357,7 @@ def _check_span_stable(polys, n):
 # operator kinds a snapshot may skip, as bits of the mask in _operators
 _ROW1_PARTIALS = 1
 _ROW1_SELF_POLARIZATIONS = 2
+_RAISING = 4
 
 
 def _operators(r, degree):
@@ -332,17 +366,20 @@ def _operators(r, degree):
 
     The row-1 partials d/dx[1,j] by column j, the adjacent polarizations
     E[i,k]^(1), |i - k| = 1, by (k, i), then the row-1 self-polarizations
-    E[1,1]^(p), 2 <= p <= d_1. The module docstring proves every other
-    derivative and polarization redundant: E[i,k]^(1) is an iterated
+    E[1,1]^(p), 2 <= p <= min(3, d_1). The module docstring proves every
+    other derivative and polarization redundant: E[i,k]^(1) is an iterated
     commutator of adjacent ones, d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)],
+    E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] / (2 - p) for p >= 3,
     E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row swap sigma = (1 k) (the
     fixpoint is GL_ell-stable) and E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)]. The
     Euler operators E[k,k]^(1) only scale a component.
 
-    kind is the operator's bit (0 for E[i,k]^(1), which is never skipped);
-    skip holds the bits of the operators that commute with it, which the
-    rows it creates are not given: d/dx[1,j] commutes with E[i,k]^(1) for
-    i != 1, and E[1,1]^(p) for i, k != 1.
+    kind is the operator's bit (0 for the lowering E[k+1,k]^(1), which is
+    never skipped); skip holds the bits of the operators that the rows it
+    creates are not given. A lowering E[k+1,k]^(1) skips the raising
+    E[j,j+1]^(1), whose commutator with it acts on each component as a
+    scalar. Every E[i,k]^(1) skips the operators that commute with it:
+    d/dx[1,j] for i != 1, and E[1,1]^(p) for i, k != 1.
     """
     d1 = degree[0]
     ops = []
@@ -356,14 +393,15 @@ def _operators(r, degree):
                 lowered = list(degree)
                 lowered[k - 1] -= 1
                 lowered[i - 1] += 1
-                skip = 0
+                kind = _RAISING if i < k else 0
+                skip = 0 if kind else _RAISING
                 if i != 1:
-                    skip = _ROW1_PARTIALS
+                    skip |= _ROW1_PARTIALS
                     if k != 1:
                         skip |= _ROW1_SELF_POLARIZATIONS
-                ops.append((tuple(lowered), r.polarization_moves(i, k), 1, 0, skip))
+                ops.append((tuple(lowered), r.polarization_moves(i, k), 1, kind, skip))
     moves = r.polarization_moves(1, 1)
-    for p in range(2, d1 + 1):
+    for p in range(2, min(3, d1) + 1):
         ops.append(((d1 - p + 1,) + degree[1:], moves, p, _ROW1_SELF_POLARIZATIONS, 0))
     return ops
 

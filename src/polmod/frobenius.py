@@ -40,15 +40,13 @@ def component_character(module, d, images):
         return 0
     r = module.ring
     inv = inverse_permutation(images)
-    total = QQ(0)
-    for idx, pivot in enumerate(comp.pivots):
-        total += comp.coefficient(idx, r.permute_code(pivot, inv))
-    if int(total) != total:
+    total, den = comp.pivot_sum(r.permute_code(pivot, inv) for pivot in comp.pivots)
+    if total % den:
         raise ConsistencyError(
             "non-integral character value %s on component %s"
-            % (rational_to_string(total), (tuple(d),))
+            % (rational_to_string(QQ(total, den)), (tuple(d),))
         )
-    return int(total)
+    return total // den
 
 
 def component_isotype(module, d):

@@ -361,6 +361,56 @@ def test_off_diagonal_polarization_order_commutator():
         assert lhs == g.polarize(i, k, p), (ell, n, i, k, p)
 
 
+def test_raising_lowering_commutator_is_a_degree_scalar():
+    """[E_{j,j+1}^{(1)}, E_{i+1,i}^{(1)}] f = [i == j] (d_i - d_{i+1}) f."""
+    rng = seeded("acceptance-cartan-commutator")
+    for _ in range(50):
+        ell = rng.randint(2, 4)
+        n = rng.randint(1, 3)
+        r = ring(ell, n)
+        g = _random_mixed_poly(rng, r)
+        d = g.multidegree()
+        i = rng.randint(1, ell - 1)
+        j = i if rng.random() < 0.5 else rng.randint(1, ell - 1)
+        lhs = g.polarize(i + 1, i, 1).polarize(j, j + 1, 1)
+        lhs = lhs - g.polarize(j, j + 1, 1).polarize(i + 1, i, 1)
+        rhs = g.scale(d[i - 1] - d[i]) if i == j else r.zero()
+        assert lhs == rhs, (ell, n, d, i, j)
+
+
+def test_row_one_self_polarization_order_commutator():
+    """[E_{1,1}^{(2)}, E_{1,1}^{(p)}] = (2 - p) E_{1,1}^{(p+1)} for p >= 3."""
+    rng = seeded("acceptance-self-polarization-commutator")
+    for _ in range(50):
+        ell = rng.randint(1, 3)
+        n = rng.randint(1, 3)
+        r = ring(ell, n)
+        p = rng.randint(3, 5)
+        d = [rng.randint(0, 1) for _ in range(ell)]
+        d[0] = rng.randint(p + 1, p + 2)
+        g = random_nonzero_homogeneous(rng, r, tuple(d), terms=3)
+        lhs = g.polarize(1, 1, p).polarize(1, 1, 2)
+        lhs = lhs - g.polarize(1, 1, 2).polarize(1, 1, p)
+        assert lhs == g.polarize(1, 1, p + 1).scale(2 - p), (ell, n, d, p)
+
+
+@pytest.mark.parametrize(
+    "gens, n", [(["x[1,1]^5*x[1,2]"], 2), (["m[4,2]"], 4), (["e[1]^6"], 3)]
+)
+def test_high_row_degree_modules_are_closed_under_every_operator(gens, n):
+    """Row degree >= 5 reaches the E[1,1]^(p), p >= 4, that the closure
+    leaves out; the module must still be closed under them."""
+    module = build_module(gens, n, 2)
+    for d in module.sorted_degrees():
+        for g in module.component_basis(d):
+            for i in range(1, 3):
+                for j in range(1, n + 1):
+                    assert module.member(g.derive(i, j)), (d, i, j)
+                for k in range(1, 3):
+                    for p in range(1, d[k - 1] + 1):
+                        assert module.member(g.polarize(i, k, p)), (d, i, k, p)
+
+
 def test_row_swap_conjugates_row_one_self_polarization():
     """sigma E_{1,1}^{(p)} sigma = E_{k,k}^{(p)} for the row swap sigma = (1 k)."""
     rng = seeded("acceptance-row-swap")

@@ -113,6 +113,13 @@ def test_consistency_gate_rejects_unstable_spans():
     span.insert(r.var(1, 1))
     with pytest.raises(ConsistencyError, match="fractional multiplicity"):
         frobenius_series(span)
+    # a row whose coefficient at the swapped pivot is not an integer
+    for half in ("1/2", "-1/2"):
+        span = GradedSpan(2, 2)
+        span.insert(r.var(1, 1) + r.var(1, 2).scale(QQ(half)))
+        message = r"non-integral character value %s on component \(\(1, 0\),\)" % half
+        with pytest.raises(ConsistencyError, match=message):
+            frobenius_series(span)
     # column-stable but not row-stable: multiplicities are not symmetric in q
     span = GradedSpan(2, 2)
     span.insert(r.var(1, 1) + r.var(1, 2))
