@@ -55,9 +55,6 @@ class StructuredMatrix:
     def det(self):
         return _bareiss_det(self.rows)
 
-    def rank(self):
-        return _rank(self.rows)
-
     def __eq__(self, other):
         return isinstance(other, StructuredMatrix) and self.rows == other.rows
 
@@ -95,35 +92,6 @@ def _bareiss_det(rows):
             m[i][k] = QQ(0)
         prev = m[k][k]
     return m[size - 1][size - 1] if sign > 0 else -m[size - 1][size - 1]
-
-
-def _rank(rows):
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for r in range(row + 1, nr):
-            c = m[r][col]
-            if c:
-                f = c * inv
-                for cc in range(col, nc):
-                    m[r][cc] = m[r][cc] - f * m[row][cc]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ vector in such a basis just evaluates it at the pivots, so the trace of a
 permutation is the sum over basis rows of the row's coefficient at the
 permuted pivot.
 
-A FrobeniusSeries collects, per irreducible, the generating polynomial of
-multiplicities over multidegrees and re-expands it in Schur polynomials of
-the degree-tracking variables. That polynomial is symmetric exactly when
-the module is stable under the row-mixing operators, which the closure
-guarantees; the Schur expansion doubles as a structural sanity check.
+A FrobeniusSeries collects, per irreducible, the integer multiplicities
+over multidegrees and expands them in Schur polynomials of the
+degree-tracking variables by an integer inverse-Kostka solve
+(symfunc.schur_coefficients). The multiplicities are symmetric in those
+variables exactly when the module is stable under the row-mixing
+operators, which the closure guarantees; the expansion checks it, and so
+doubles as a structural sanity check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import ConsistencyError, NotSymmetric, UsageError
-from .polyring import inverse_permutation, ring
+from .polyring import inverse_permutation
 from .rationals import QQ, as_int, rational_to_json, rational_to_string
 from .symfunc import (
     SymSeries,
@@ -27,9 +29,10 @@ from .symfunc import (
     cycle_types,
     is_partition,
     partitions_of,
+    schur_coefficients,
+    schur_dimension,
     schur_to_h,
     syt_count,
-    to_schur,
 )
 
 
@@ -132,16 +135,7 @@ class FrobeniusSeries:
             groups.setdefault(lam, SymSeries("schur")).add_term(mu, q)
         return sorted(groups.items(), key=lambda kv: _lambda_sort_key(kv[0]))
 
-    def hilbert(self):
-        """Dimension generating series over multidegrees, Schur basis."""
-        out = SymSeries("schur")
-        for (mu, lam), q in self.coeffs.items():
-            out.add_term(mu, q * syt_count(lam))
-        return out
-
     def dimension(self, ell):
-        from .symfunc import schur_dimension
-
         total = 0
         for (mu, lam), q in self.coeffs.items():
             total += as_int(q) * syt_count(lam) * schur_dimension(mu, ell)
@@ -180,32 +174,28 @@ class FrobeniusSeries:
 def frobenius_series(module):
     """Bigraded character series of a computed module, fully exact.
 
-    The result passes a consistency gate: multiplicities must come out as
+    Per irreducible lambda, the multiplicities {d: m} over multidegrees go
+    straight to symfunc.schur_coefficients; no polynomial is built. The
+    result passes a consistency gate: multiplicities must come out as
     nonnegative integers, symmetric in the degree variables, and the series
     must account for the whole module dimension. Anything else means the
     span is not stable or the character arithmetic went wrong, and raises
     ConsistencyError instead of returning a result.
     """
-    n = module.n
-    ell = module.ell
     per_lambda = {}
     for d in module.sorted_degrees():
         for lam, m in component_isotype(module, d).items():
-            per_lambda.setdefault(lam, []).append((d, m))
-    qring = ring(1, ell)
-    out = FrobeniusSeries(n)
-    for lam, pairs in per_lambda.items():
-        g = qring.zero()
-        for d, m in pairs:
-            g = g + qring.monomial({(1, i + 1): di for i, di in enumerate(d)}, m)
+            per_lambda.setdefault(lam, {})[d] = m
+    out = FrobeniusSeries(module.n)
+    for lam, counts in per_lambda.items():
         try:
-            schur = to_schur(g)
+            schur = schur_coefficients(counts, module.ell)
         except NotSymmetric as exc:
             raise ConsistencyError(
                 "multiplicities of %s over multidegrees are not symmetric: %s"
                 % (lam, exc)
             ) from exc
-        for mu, c in schur.coeffs.items():
+        for mu, c in schur.items():
             out.add_term(mu, lam, c)
     _check_series(out, module)
     return out
@@ -229,12 +219,13 @@ def _check_series(fs, module):
 
 
 def hilbert_series(module):
-    """Dimension series over multidegrees, expanded in Schur polynomials."""
-    qring = ring(1, module.ell)
-    g = qring.zero()
-    for d, dim in module.dims().items():
-        g = g + qring.monomial({(1, i + 1): di for i, di in enumerate(d)}, dim)
-    return to_schur(g)
+    """Dimension series over multidegrees, expanded in Schur polynomials.
+
+    The component dimensions are symmetric in the degree variables for a
+    GL_ell-stable module; symfunc.schur_coefficients raises NotSymmetric
+    when they are not.
+    """
+    return SymSeries("schur", schur_coefficients(module.dims(), module.ell))
 
 
 def hilbert_series_h(module):

@@ -1,23 +1,19 @@
 """Exact rational scalars.
 
 Polynomial coefficients, characters and series coefficients are rational
-numbers of type QQ. The closure's echelon rows are the exception: they are
-primitive integer vectors (see closure.py), and rationals appear there only
-when polynomials go in or basis rows come out. gmpy2's mpq is used when it
-is installed (the optional "gmpy2" extra); otherwise QQ is the stdlib
-fractions.Fraction. Both types interoperate with Python ints, hash
-consistently with their numeric value, and compare exactly, so the rest of
-the code never needs to know which one it got.
+numbers of type QQ, the stdlib fractions.Fraction. The closure's echelon
+rows and the Schur expansion of the series are the exceptions: they work
+in integers (see closure.py and symfunc.schur_coefficients), and rationals
+appear there only when polynomials go in or results come out. Fraction
+arithmetic is under a tenth of a profiled pass on every benchmark
+workload, which bounds what a faster rational type could buy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    QQ = Fraction
+QQ = Fraction
 
 
 def rational_from_string(text):

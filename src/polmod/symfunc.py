@@ -8,6 +8,12 @@ Two different alphabets show up downstream and both are served here:
   Schur-basis output of Hilbert/Frobenius series and the change of basis to
   complete homogeneous functions.
 
+schur_coefficients is the one Schur expansion: it takes coefficients over
+exponent tuples (per-multidegree dimensions or multiplicities, or the terms
+of a one-row polynomial through to_schur), checks their symmetry, and
+solves the unitriangular Kostka system with integer arithmetic when the
+coefficients are integers.
+
 Characters of the symmetric group are computed by the border-strip
 recursion on beta-sets, memoized; class sizes and canonical representative
 permutations per cycle type live in CycleType.
@@ -455,49 +461,50 @@ class SymSeries:
         return "<SymSeries %s: %s>" % (self.basis, self)
 
 
-# -- Schur expansion of a concrete symmetric polynomial ---------------------
+# -- Schur expansion of a symmetric polynomial ------------------------------
 
 
-def _is_symmetric_one_row(f):
-    r = f.ring
-    if r.ell != 1:
-        return False
-    for j in range(1, r.n):
-        images = list(range(1, r.n + 1))
-        images[j - 1], images[j] = images[j], images[j - 1]
-        if f.permute(tuple(images)) != f:
-            return False
-    return True
+def schur_coefficients(counts, nvars):
+    """Schur expansion {lam: coefficient} of sum c * x^a over {a: c}.
+
+    The keys a are exponent tuples in nvars variables. The coefficient of
+    x^nu, nu a partition, is sum over lam of c_lam * K[lam, nu], and the
+    Kostka matrix is unitriangular in dominance order, which decreasing lex
+    order refines; so each size is solved top-down over partitions_of.
+    Integer counts give integer coefficients. Raises NotSymmetric unless
+    every adjacent transposition of the variables fixes the coefficients.
+    Terms come out by decreasing size, then decreasing lex order.
+    """
+    for a, c in counts.items():
+        for i in range(nvars - 1):
+            if a[i] != a[i + 1]:
+                swapped = a[:i] + (a[i + 1], a[i]) + a[i + 2:]
+                if counts.get(swapped, 0) != c:
+                    raise NotSymmetric(
+                        "polynomial is not symmetric in its %d variables" % nvars
+                    )
+    out = {}
+    for size in sorted({sum(a) for a, c in counts.items() if c}, reverse=True):
+        solved = []
+        for nu in partitions_of(size):
+            if len(nu) > nvars:
+                continue
+            c = counts.get(nu + (0,) * (nvars - len(nu)), 0)
+            for lam, q in solved:
+                c -= q * kostka(lam, nu)
+            if c:
+                solved.append((nu, c))
+                out[nu] = c
+    return out
 
 
 def to_schur(f):
-    """Exact Schur expansion of a symmetric polynomial in one row.
-
-    Repeatedly subtracts coeff * s_lambda for the graded-lex-leading
-    monomial x^lambda; leading exponents of symmetric polynomials are
-    partitions and the leading coefficient of s_lambda is 1, so the leading
-    term strictly decreases and the loop terminates.
-    """
+    """Exact Schur expansion of a symmetric polynomial in one row."""
     r = f.ring
     if r.ell != 1:
         raise NotSymmetric("to_schur expects a polynomial in a single row")
-    if not _is_symmetric_one_row(f):
-        raise NotSymmetric("polynomial is not symmetric in its %d variables" % r.n)
-    out = SymSeries("schur")
-    work = f
-    while work.terms:
-        lead = max(work.terms, key=lambda c: (r.code_total_degree(c), c))
-        exps = r.unpack(lead)
-        lam = tuple(a for a in exps if a)
-        if tuple(sorted(exps, reverse=True)) != exps or not is_partition(lam):
-            raise NotSymmetric(
-                "leading exponent %s is not a partition; input not symmetric"
-                % (exps,)
-            )
-        c = work.terms[lead]
-        out.add_term(lam, c)
-        work = work - schur_row_poly(lam, 1, r.n, 1).scale(c) if lam else work - r.const(c)
-    return out
+    counts = {r.unpack(code): c for code, c in f.terms.items()}
+    return SymSeries("schur", schur_coefficients(counts, r.n))
 
 
 # -- Jacobi-Trudi / Kostka transitions --------------------------------------

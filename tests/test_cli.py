@@ -1,12 +1,12 @@
 """Unit tests for expression parsing, jobs, and the command entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from polmod import (
     FrobeniusSeries,
-    NotSymmetric,
     QQ,
     SymSeries,
     UsageError,
@@ -298,3 +298,42 @@ def test_main_verify_selector(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["failed"] == 0
     assert doc["checked"] > 0
+
+
+# -- golden documents ----------------------------------------------------------
+
+# Recorded --format json output of fast jobs, compared byte for byte. A
+# mismatch means an output changed; if the change is intended, regenerate
+# the file with
+#   polmod <argv> --format json > tests/golden/<name>.json
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_JOBS = {
+    "basis-m21-n3-ell2": ["basis", "--gen=m[2,1]", "--n", "3", "--ell", "2"],
+    "basis-x11sq-x22-n3-ell2": [
+        "basis", "--gen=x[1,1]^2*x[2,2]", "--n", "3", "--ell", "2",
+    ],
+    "basis-rational-cubic-n3-ell2": [
+        "basis", "--gen=-5/2*m[3] - 1/2*m[2,1] + 3/4*m[1,1,1]",
+        "--n", "3", "--ell", "2",
+    ],
+    "frobenius-vandermonde-n4-ell3": [
+        "frobenius", "--gen=vandermonde", "--n", "4", "--ell", "3",
+    ],
+    "frobenius-x21sq-x32-n4-ell3": [
+        "frobenius", "--gen=x[2,1]^2*x[3,2]", "--n", "4", "--ell", "3",
+    ],
+    "frobenius-x21sq-x32-n5-ell3": [
+        "frobenius", "--gen=x[2,1]^2*x[3,2]", "--n", "5", "--ell", "3",
+    ],
+    "hilbert-m32-n5-ell2": ["hilbert", "--gen=m[3,2]", "--n", "5", "--ell", "2"],
+    "classify-m3-m21-n4-ell2": [
+        "classify", "--gen=m[3] + m[2,1]", "--n", "4", "--ell", "2",
+    ],
+    "exceptions-n5": ["exceptions", "--n", "5", "--point=4,-3,4", "--point=1,1,1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JOBS))
+def test_main_json_matches_golden_document(name, capsys):
+    assert main(GOLDEN_JOBS[name] + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()

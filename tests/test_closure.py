@@ -5,7 +5,6 @@ import pytest
 from polmod import (
     GeneratorFamily,
     GradedSpan,
-    QQ,
     UsageError,
     expand_basis,
     polarization_module,

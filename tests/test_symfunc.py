@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from polmod import QQ, expand_basis, ring
+from polmod import GradedSpan, NotSymmetric, QQ, expand_basis, hilbert_series, ring
 from polmod.symfunc import (
     SymSeries,
     character_table,
@@ -19,6 +19,7 @@ from polmod.symfunc import (
     mn_character,
     multi_elementary,
     partitions_of,
+    schur_coefficients,
     schur_dimension,
     schur_to_h,
     syt_count,
@@ -188,6 +189,70 @@ def test_to_schur_recognizes_schur_polynomials():
     assert to_schur(mixed).coeffs == {(2,): QQ(1)}
     e2 = expand_basis("e", (2,), 1, 3, 1)
     assert to_schur(e2).coeffs == {(1, 1): QQ(1)}
+
+
+def _random_schur_combination(rng, nvars, integral):
+    """{lam: coeff} over |lam| <= 5, len(lam) <= nvars, and its polynomial."""
+    shapes = [
+        lam for size in range(6) for lam in partitions_of(size) if len(lam) <= nvars
+    ]
+    coeffs = {}
+    for lam in rng.sample(shapes, rng.randrange(1, 5)):
+        num = rng.choice([v for v in range(-9, 10) if v])
+        coeffs[lam] = QQ(num) if integral else QQ(num, rng.randrange(1, 5))
+    f = ring(1, nvars).zero()
+    for lam, q in coeffs.items():
+        f = f + expand_basis("s", lam, 1, nvars, 1).scale(q)
+    return coeffs, f
+
+
+def test_to_schur_round_trips_schur_combinations():
+    rng = seeded("to-schur")
+    for case in range(60):
+        nvars = rng.randrange(1, 5)
+        coeffs, f = _random_schur_combination(rng, nvars, integral=case % 2 == 0)
+        assert to_schur(f).coeffs == coeffs, (nvars, coeffs)
+
+
+def test_schur_coefficients_of_integer_counts_are_integers():
+    # h_2 in two variables: x1^2 + x1 x2 + x2^2 = s_2
+    got = schur_coefficients({(2, 0): 1, (1, 1): 1, (0, 2): 1}, 2)
+    assert got == {(2,): 1} and type(got[(2,)]) is int
+    # e_1^2 = s_2 + s_11, plus a constant term
+    got = schur_coefficients({(2, 0): 1, (1, 1): 2, (0, 2): 1, (0, 0): 3}, 2)
+    assert got == {(2,): 1, (1, 1): 1, (): 3}
+    assert all(type(c) is int for c in got.values())
+
+
+def test_to_schur_rejects_a_changed_unsorted_coefficient():
+    rng = seeded("to-schur-asym")
+    checked = 0
+    while checked < 30:
+        nvars = rng.randrange(2, 5)
+        _, f = _random_schur_combination(rng, nvars, integral=checked % 2 == 0)
+        r = f.ring
+        unsorted = [
+            code for code in f.terms
+            if list(r.unpack(code)) != sorted(r.unpack(code), reverse=True)
+        ]
+        if not unsorted:
+            continue
+        code = rng.choice(unsorted)
+        broken = f + r.from_terms({code: QQ(1)})
+        message = "polynomial is not symmetric in its %d variables" % nvars
+        with pytest.raises(NotSymmetric, match=message):
+            to_schur(broken)
+        checked += 1
+
+
+def test_hilbert_series_rejects_a_row_unstable_span():
+    # stable under swapping columns, not under mixing rows: dims {(1, 0): 1}
+    r = ring(2, 2)
+    span = GradedSpan(2, 2)
+    span.insert(r.var(1, 1) + r.var(1, 2))
+    message = "polynomial is not symmetric in its 2 variables"
+    with pytest.raises(NotSymmetric, match=message):
+        hilbert_series(span)
 
 
 def test_schur_h_transitions_are_inverse():
