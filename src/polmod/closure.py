@@ -87,7 +87,7 @@ import heapq
 from math import gcd, lcm
 
 from .errors import UsageError
-from .polyring import Poly, adjacent_transpositions, apply_operator, ring
+from .polyring import Poly, apply_operator, ring
 from .rationals import QQ
 
 
@@ -307,10 +307,10 @@ class GeneratorFamily:
         self.text = list(text or [])
         nonzero = [f for f in polys if not f.is_zero()]
         if mode == "orbit":
-            self.polys = _orbit_close(nonzero, self.ring.n)
+            self.polys = _orbit_close(nonzero, self.ring)
         elif mode == "verbatim":
             self.polys = nonzero
-            _check_span_stable(nonzero, self.ring.n)
+            _check_span_stable(nonzero, self.ring)
         else:
             raise UsageError("unknown family mode %r" % mode)
 
@@ -318,10 +318,10 @@ class GeneratorFamily:
         return not self.polys
 
 
-def _orbit_close(polys, n):
+def _orbit_close(polys, r):
     seen = []
     queue = list(polys)
-    taus = adjacent_transpositions(n)
+    taus = r.transpositions
     keyset = set()
     while queue:
         f = queue.pop()
@@ -335,18 +335,18 @@ def _orbit_close(polys, n):
     return seen
 
 
-def _check_span_stable(polys, n):
+def _check_span_stable(polys, r):
     if not polys:
         return
-    span = GradedSpan(polys[0].ring.ell, n)
+    span = GradedSpan(r.ell, r.n)
     for f in polys:
         span.insert(f)
-    for tau in adjacent_transpositions(n):
+    for tau in r.transpositions:
         for f in polys:
             if not span.member(f.permute(tau)):
                 raise UsageError(
                     "family is not stable under the column action "
-                    "(offending transposition %s)" % (tau,)
+                    "(offending transposition %s)" % (tau.images,)
                 )
 
 
@@ -361,8 +361,8 @@ _RAISING = 4
 
 
 def _operators(r, degree):
-    """(target degree, moves, order, kind, skip) of each closure operator on
-    V_degree.
+    """(target degree, operator, kind, skip) of each closure operator on
+    V_degree; the operators are the ring's compiled, cached Operator objects.
 
     The row-1 partials d/dx[1,j] by column j, the adjacent polarizations
     E[i,k]^(1), |i - k| = 1, by (k, i), then the row-1 self-polarizations
@@ -386,7 +386,7 @@ def _operators(r, degree):
     if d1:
         lowered = (d1 - 1,) + degree[1:]
         for j in range(1, r.n + 1):
-            ops.append((lowered, r.derivative_moves(1, j), 1, _ROW1_PARTIALS, 0))
+            ops.append((lowered, r.derivative(1, j), _ROW1_PARTIALS, 0))
     for k in range(1, r.ell + 1):
         for i in (k - 1, k + 1):
             if 1 <= i <= r.ell and degree[k - 1]:
@@ -399,10 +399,10 @@ def _operators(r, degree):
                     skip |= _ROW1_PARTIALS
                     if k != 1:
                         skip |= _ROW1_SELF_POLARIZATIONS
-                ops.append((tuple(lowered), r.polarization_moves(i, k), 1, kind, skip))
-    moves = r.polarization_moves(1, 1)
+                ops.append((tuple(lowered), r.polarization(i, k), kind, skip))
     for p in range(2, min(3, d1) + 1):
-        ops.append(((d1 - p + 1,) + degree[1:], moves, p, _ROW1_SELF_POLARIZATIONS, 0))
+        lowered = (d1 - p + 1,) + degree[1:]
+        ops.append((lowered, r.polarization(1, 1, p), _ROW1_SELF_POLARIZATIONS, 0))
     return ops
 
 
@@ -429,10 +429,10 @@ def _close(span):
         _, d, _, terms, skipped = heapq.heappop(heap)
         if d not in ops:
             ops[d] = _operators(r, d)
-        for dd, moves, p, kind, skip in ops[d]:
+        for dd, op, kind, skip in ops[d]:
             if kind & skipped:
                 continue
-            out = apply_operator(terms, moves, p)
+            out = apply_operator(terms, op)
             if not out:
                 continue
             comp = span.component(dd)

@@ -18,10 +18,11 @@ doubles as a structural sanity check.
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 from .errors import ConsistencyError, NotSymmetric, UsageError
-from .polyring import inverse_permutation
+from .polyring import Permutation
 from .rationals import QQ, as_int, rational_to_json, rational_to_string
 from .symfunc import (
     SymSeries,
@@ -36,13 +37,25 @@ from .symfunc import (
 )
 
 
+@cache
+def _class_inverses(r):
+    """The compiled inverses of ring r's cycle-type representatives."""
+    return {
+        ct.representative: Permutation(r, ct.representative).inverse()
+        for ct in cycle_types(r.n)
+    }
+
+
 def component_character(module, d, images):
-    """Trace of the column permutation (image tuple) on component V_d."""
+    """Trace of the column permutation (image tuple) on component V_d.
+
+    The row with pivot m contributes its coefficient at sigma^-1 m.
+    """
     comp = module.components.get(tuple(d))
     if comp is None or not comp.dimension:
         return 0
     r = module.ring
-    inv = inverse_permutation(images)
+    inv = _class_inverses(r).get(tuple(images)) or Permutation(r, images).inverse()
     total, den = comp.pivot_sum(r.permute_code(pivot, inv) for pivot in comp.pivots)
     if total % den:
         raise ConsistencyError(

@@ -11,10 +11,17 @@ The packing caps any single computation at total degree 30. That is far
 beyond everything in scope (degrees up to 6, ambient products up to 12);
 constructors reject anything bigger rather than silently corrupting carries.
 
-Operators: partial derivatives d^p/dx[i,j]^p, polarizations
-sum_j x[i,j] d^p/dx[k,j]^p moving degree from variable row k to row i, the
-diagonal column-permutation action of the symmetric group, and the up/down
-composites between row 1 and the full matrix (with factorial normalization).
+Operators: partial derivatives d^p/dx[i,j]^p and polarizations
+E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p, moving degree from variable row k
+to row i; the diagonal column-permutation action of the symmetric group;
+and the up/down composites between row 1 and the full matrix (with
+factorial normalization). A derivative or polarization is compiled once per
+ring into a cached Operator: the cells it lowers form one contiguous block
+of the code (one cell, or row k), and a table, filled as block values are
+met, holds each value's moves, one (code delta, falling factorial) pair per
+cell holding at least p. apply_operator, the only kernel, does one table
+lookup per term and then touches only the cells that move. A permutation is
+compiled into a Permutation, one mask and shift per column displacement.
 """
 
 from __future__ import annotations
@@ -62,6 +69,15 @@ class PolyRing:
             sum(EXP_MASK << self.shifts[i * n + j] for i in range(ell))
             for j in range(n)
         ]
+        # permute_code shifts every group left by this much, then back
+        self.column_span = (n - 1) * EXP_BITS
+        ident = tuple(range(1, n + 1))
+        # the compiled adjacent transpositions (j j+1), j = 1..n-1
+        self.transpositions = tuple(
+            Permutation(self, ident[: j - 1] + (j + 1, j) + ident[j + 1 :])
+            for j in range(1, n)
+        )
+        self._operators = {}  # ("d", i, j, p) or ("E", i, k, p) -> Operator
 
     # -- codec ------------------------------------------------------------
 
@@ -105,35 +121,41 @@ class PolyRing:
                 code >>= EXP_BITS
         return tuple(row)
 
-    def permute_code(self, code, images):
-        """Relabel columns: j -> images[j-1] in every row (diagonal action).
-
-        Column j's cells, masked out together, move images[j-1] - j cells
-        towards the less significant end.
-        """
+    def permute_code(self, code, sigma):
+        """Relabel columns by a compiled Permutation: shift each displacement
+        group of columns left by its own amount, then all back by
+        column_span."""
         out = 0
-        for j, (mask, image) in enumerate(zip(self.column_masks, images), start=1):
-            cells = code & mask
-            if cells:
-                if image > j:
-                    out |= cells >> (image - j) * EXP_BITS
-                else:
-                    out |= cells << (j - image) * EXP_BITS
-        return out
+        for mask, shift in sigma.groups:
+            out |= (code & mask) << shift
+        return out >> self.column_span
 
-    # -- operator moves (see apply_operator) -------------------------------
+    # -- compiled operators, cached per ring (see apply_operator) ----------
 
-    def derivative_moves(self, i, j):
-        """The single move of d/dx[i,j]: lower cell (i, j), multiply by 1."""
-        return ((self.shifts[self.cell(i, j)], 0),)
+    def derivative(self, i, j, p=1):
+        """d^p/dx[i,j]^p, reading the single cell (i, j)."""
+        if p < 1:
+            raise ValueError("derivative order must be >= 1")
+        c = self.cell(i, j)
+        return self._operator(("d", i, j), p, self.shifts[c : c + 1], (0,))
 
-    def polarization_moves(self, i, k):
-        """One move per column j: lower cell (k, j), multiply in x[i,j]."""
+    def polarization(self, i, k, p=1):
+        """E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p, reading row k."""
+        if p < 1:
+            raise ValueError("polarization order must be >= 1")
+        if not (1 <= i <= self.ell and 1 <= k <= self.ell):
+            raise IndexError("row index out of range")
         n = self.n
-        return tuple(
-            (self.shifts[(k - 1) * n + j], self.places[(i - 1) * n + j])
-            for j in range(n)
-        )
+        src = self.shifts[(k - 1) * n : k * n]
+        return self._operator(("E", i, k), p, src, self.places[(i - 1) * n : i * n])
+
+    def _operator(self, key, p, shifts, units):
+        p = min(p, EXP_BASE)  # every larger order annihilates alike
+        key += (p,)
+        op = self._operators.get(key)
+        if op is None:
+            op = self._operators[key] = Operator(shifts, units, p)
+        return op
 
     # -- constructors -----------------------------------------------------
 
@@ -183,36 +205,96 @@ class PolyRing:
         return Poly(self, {c: q for c, q in termmap.items() if q})
 
 
-# _FALLING[p][a] = a(a-1)...(a-p+1), which is 0 for a < p; no exponent
-# reaches EXP_BASE, so that row is all zeros and serves every larger p
-_FALLING = [[perm(a, p) for a in range(EXP_BASE)] for p in range(EXP_BASE + 1)]
+class Permutation:
+    """The column permutation j -> images[j-1] of one ring, compiled into
+    one (mask, left shift) group per displacement images[j-1] - j; a
+    cycle-type representative has at most about four. Shifts are offset by
+    the ring's column_span, so none is negative. Not cached."""
+
+    __slots__ = ("ring", "images", "groups")
+
+    def __init__(self, ring_, images):
+        images = tuple(images)
+        if sorted(images) != list(range(1, ring_.n + 1)):
+            raise ValueError("not a permutation of 1..%d: %r" % (ring_.n, images))
+        masks = {}
+        for j, image in enumerate(images, start=1):
+            masks[image - j] = masks.get(image - j, 0) | ring_.column_masks[j - 1]
+        self.ring = ring_
+        self.images = images
+        span = ring_.column_span
+        self.groups = tuple((m, span - t * EXP_BITS) for t, m in masks.items())
+
+    def inverse(self):
+        images = [0] * len(self.images)
+        for j, image in enumerate(self.images, start=1):
+            images[image - 1] = j
+        return Permutation(self.ring, images)
 
 
-def apply_operator(terms, moves, p):
-    """sum over moves (shift, unit) of unit * d^p/dcell^p, on a term dict.
+class Operator:
+    """A derivative or polarization compiled against one ring.
 
-    shift locates the differentiated cell in the packed code and unit is
-    the packed monomial multiplied in afterwards (0 for a bare derivative).
-    Coefficients are the falling factorials a(a-1)...(a-p+1) of the
-    exponent a; a fresh {code: coefficient} dict without zeros is returned.
+    It reads one block of contiguous cells, (code >> shift) & mask. cells
+    holds, per block cell in column order, its shift inside the block and
+    the code delta of lowering it by p and multiplying in its unit (x[i,j]
+    for E[i,k]^(p), 1 for a partial), which does not depend on the rest of
+    the code. table maps each block value met so far to its moves, the
+    (delta, falling factorial) pairs of the cells whose exponent is at
+    least p; pairs are interned, at most n * 32 per operator.
     """
-    falling = _FALLING[min(p, EXP_BASE)]
+
+    __slots__ = ("shift", "mask", "order", "cells", "table", "_pairs")
+
+    def __init__(self, shifts, units, order):
+        self.shift = shifts[-1]
+        self.mask = (1 << len(shifts) * EXP_BITS) - 1
+        self.order = order
+        self.cells = tuple(
+            (s - self.shift, u - (order << s)) for s, u in zip(shifts, units)
+        )
+        self.table = {}
+        self._pairs = {}
+
+    def moves(self, block):
+        p, pairs = self.order, self._pairs
+        out = []
+        for rel, delta in self.cells:
+            a = (block >> rel) & EXP_MASK
+            if a >= p:
+                pair = (delta, perm(a, p))
+                out.append(pairs.setdefault(pair, pair))
+        out = self.table[block] = tuple(out)
+        return out
+
+
+def apply_operator(terms, op):
+    """Apply a compiled Operator to a {code: coefficient} term dict.
+
+    Per term: one block extraction and one table lookup, then a loop over
+    that block's moves only, each adding its delta to the code and
+    multiplying the coefficient by the falling factorial a(a-1)...(a-p+1)
+    of the lowered exponent a. A fresh dict without zeros is returned.
+    """
+    shift, mask, table = op.shift, op.mask, op.table
     out = {}
     for code, q in terms.items():
-        for shift, unit in moves:
-            f = falling[(code >> shift) & EXP_MASK]
-            if f:
-                nc = code - (p << shift) + unit
-                v = q * f
-                s = out.get(nc)
-                if s is None:
-                    out[nc] = v
+        block = (code >> shift) & mask
+        moves = table.get(block)
+        if moves is None:
+            moves = op.moves(block)
+        for delta, f in moves:
+            nc = code + delta
+            v = q * f
+            s = out.get(nc)
+            if s is None:
+                out[nc] = v
+            else:
+                s = s + v
+                if s:
+                    out[nc] = s
                 else:
-                    s = s + v
-                    if s:
-                        out[nc] = s
-                    else:
-                        del out[nc]
+                    del out[nc]
     return out
 
 
@@ -376,35 +458,28 @@ class Poly:
 
     def derive(self, i, j, p=1):
         """d^p/dx[i,j]^p with exact falling-factorial coefficients."""
-        if p < 1:
-            raise ValueError("derivative order must be >= 1")
         r = self.ring
-        return Poly(r, apply_operator(self.terms, r.derivative_moves(i, j), p))
+        return Poly(r, apply_operator(self.terms, r.derivative(i, j, p)))
 
     def polarize(self, i, k, p=1):
         """sum_j x[i,j] * d^p/dx[k,j]^p: degree moves from row k to row i."""
-        if p < 1:
-            raise ValueError("polarization order must be >= 1")
         r = self.ring
-        if not (1 <= i <= r.ell and 1 <= k <= r.ell):
-            raise IndexError("row index out of range")
-        return Poly(r, apply_operator(self.terms, r.polarization_moves(i, k), p))
+        return Poly(r, apply_operator(self.terms, r.polarization(i, k, p)))
 
-    def permute(self, images):
+    def permute(self, sigma):
         """Diagonal action: x[i,j] -> x[i, images[j-1]] in every row.
 
-        images is a 1-based permutation of 1..n given as a sequence of
-        images. This is a left action: permute(permute(f, s), t) equals
+        sigma is a 1-based image sequence of 1..n, or a Permutation of this
+        ring. This is a left action: permute(permute(f, s), t) equals
         permute(f, t*s) where (t*s)(j) = t(s(j)).
         """
         r = self.ring
-        if sorted(images) != list(range(1, r.n + 1)):
-            raise ValueError("not a permutation of 1..%d: %r" % (r.n, images))
-        out = {}
+        if not isinstance(sigma, Permutation):
+            sigma = Permutation(r, sigma)
+        elif sigma.ring is not r:
+            raise ValueError("permutation compiled for another ring")
         pc = r.permute_code
-        for code, q in self.terms.items():
-            out[pc(code, images)] = q
-        return Poly(r, out)
+        return Poly(r, {pc(code, sigma): q for code, q in self.terms.items()})
 
     def apply_row_matrix(self, m):
         """Substitute x[i,j] <- sum_k m[i][k] * x[k,j] (rows mixed by m).
@@ -414,7 +489,10 @@ class Poly:
         """
         r = self.ring
         rows = [
-            [sum_poly(r, [(m[i][k], (k + 1, j)) for k in range(r.ell)]) for j in range(1, r.n + 1)]
+            [
+                r.from_terms({r.places[r.cell(k + 1, j)]: QQ(m[i][k]) for k in range(r.ell)})
+                for j in range(1, r.n + 1)
+            ]
             for i in range(r.ell)
         ]
         out = r.zero()
@@ -513,40 +591,3 @@ class Poly:
 
     def __repr__(self):
         return "<Poly %dx%d %s>" % (self.ring.ell, self.ring.n, self)
-
-
-def sum_poly(ring_, scaled_vars):
-    """sum of coeff * x[i,j] for (coeff, (i, j)) pairs."""
-    terms = {}
-    for coeff, (i, j) in scaled_vars:
-        q = QQ(coeff)
-        if not q:
-            continue
-        code = ring_.places[ring_.cell(i, j)]
-        s = terms.get(code)
-        if s is None:
-            terms[code] = q
-        else:
-            s = s + q
-            if s:
-                terms[code] = s
-            else:
-                del terms[code]
-    return Poly(ring_, terms)
-
-
-def adjacent_transpositions(n):
-    """The images tuples of (j j+1) for j = 1..n-1."""
-    out = []
-    for j in range(1, n):
-        im = list(range(1, n + 1))
-        im[j - 1], im[j] = im[j], im[j - 1]
-        out.append(tuple(im))
-    return out
-
-
-def inverse_permutation(images):
-    out = [0] * len(images)
-    for j, im in enumerate(images, start=1):
-        out[im - 1] = j
-    return tuple(out)

@@ -8,6 +8,7 @@ from polmod import (
     GradedSpan,
     QQ,
     UsageError,
+    component_character,
     component_isotype,
     frobenius_series,
     hilbert_series,
@@ -124,6 +125,24 @@ def test_consistency_gate_rejects_unstable_spans():
         r"multiplicities of \(2,\) over multidegrees are not symmetric: "
         r"polynomial is not symmetric in its 2 variables"
     )
+    with pytest.raises(ConsistencyError, match=message):
+        frobenius_series(span)
+
+
+def test_consistency_gate_reads_each_trace_at_the_inverse_image():
+    # unstable spans at n = 3, where the 3-cycle differs from its inverse:
+    # the row with pivot m contributes its coefficient at sigma^-1 m
+    r = ring(1, 3)
+    span = GradedSpan(1, 3)
+    span.insert(r.var(1, 1) + 2 * r.var(1, 2) + 3 * r.var(1, 3))
+    assert component_character(span, (1,), (2, 3, 1)) == 3
+    assert component_character(span, (1,), (3, 1, 2)) == 2
+    message = r"fractional multiplicity 13/6 for \(3,\) on component \(1,\)"
+    with pytest.raises(ConsistencyError, match=message):
+        frobenius_series(span)
+    span = GradedSpan(1, 3)
+    span.insert(r.var(1, 1) + r.var(1, 2).scale(QQ(1, 2)) + r.var(1, 3).scale(QQ(1, 3)))
+    message = r"non-integral character value 1/3 on component \(\(1,\),\)"
     with pytest.raises(ConsistencyError, match=message):
         frobenius_series(span)
 

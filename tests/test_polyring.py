@@ -1,9 +1,12 @@
 """Unit tests for the packed-exponent polynomial layer."""
 
+from math import perm
+
 import pytest
 
 from polmod import QQ, ring
-from polmod.polyring import MAX_TOTAL_DEGREE
+from polmod.polyring import MAX_TOTAL_DEGREE, Permutation, apply_operator
+from polmod.symfunc import cycle_types
 
 from conftest import (
     compose,
@@ -137,7 +140,28 @@ def test_permute_code_matches_cell_by_cell_relabelling(ell, n):
         # every cell may hold any 5-bit exponent: up to 150-bit codes
         code = rng.getrandbits(r.ncells * 5)
         images = random_permutation(rng, n)
-        assert r.permute_code(code, images) == _relabel_cell_by_cell(r, code, images)
+        sigma = Permutation(r, images)
+        assert r.permute_code(code, sigma) == _relabel_cell_by_cell(r, code, images)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_compiled_permutations_match_cell_by_cell_relabelling(ell):
+    for n in range(1, 11):
+        r = ring(ell, n)
+        rng = seeded("compiled_permutation", ell * 100 + n)
+        reps = [ct.representative for ct in cycle_types(n)]
+        assert tuple(range(1, n + 1)) in reps
+        for images in reps:
+            inverse = [0] * n
+            for j, image in enumerate(images, start=1):
+                inverse[image - 1] = j
+            sigma = Permutation(r, images)
+            sigma_inv = sigma.inverse()
+            assert sigma_inv.images == tuple(inverse)
+            for _ in range(10):
+                code = rng.getrandbits(r.ncells * 5)
+                assert r.permute_code(code, sigma) == _relabel_cell_by_cell(r, code, images)
+                assert r.permute_code(code, sigma_inv) == _relabel_cell_by_cell(r, code, inverse)
 
 
 def test_permute_respects_products_and_rejects_bad_input():
@@ -148,6 +172,80 @@ def test_permute_respects_products_and_rejects_bad_input():
     assert (f * g).permute(s) == f.permute(s) * g.permute(s)
     with pytest.raises(ValueError):
         f.permute((1, 1, 2))
+
+
+def _apply_cell_by_cell(r, terms, p, moves):
+    """Reference kernel on unpacked exponents. moves lists (lowered cell,
+    raised cell or None) index pairs: each lowers its first cell's exponent
+    a >= p by p with coefficient a(a-1)...(a-p+1), then raises the second
+    by 1. Coefficients are summed and zeros dropped at the end."""
+    out = {}
+    for code, q in terms.items():
+        exps = r.unpack(code)
+        for low, high in moves:
+            a = exps[low]
+            if a < p:
+                continue
+            moved = list(exps)
+            moved[low] -= p
+            if high is not None:
+                moved[high] += 1
+            nc = r.pack(moved)
+            out[nc] = out.get(nc, 0) + q * perm(a, p)
+    return {c: v for c, v in out.items() if v}
+
+
+def _random_terms(rng, r, count):
+    """Seeded term dict; each term's total degree is at most the packing
+    cap, piled onto a few cells so single exponents reach it too."""
+    terms = {}
+    for _ in range(count):
+        exps = [0] * r.ncells
+        cells = rng.sample(range(r.ncells), min(r.ncells, rng.randrange(1, 4)))
+        for _ in range(rng.randrange(0, MAX_TOTAL_DEGREE + 1)):
+            exps[rng.choice(cells)] += 1
+        terms[r.pack(exps)] = rng.choice([-3, -2, -1, 1, 2, 3, QQ(1, 2), QQ(-5, 3)])
+    return terms
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_compiled_operators_match_cell_by_cell_reference(ell):
+    for n in range(1, 11):
+        r = ring(ell, n)
+        rng = seeded("compiled_operator", ell * 100 + n)
+        terms = _random_terms(rng, r, 20)
+        assert max(r.code_total_degree(c) for c in terms) <= MAX_TOTAL_DEGREE
+        for p in range(1, 5):
+            for i in range(1, ell + 1):
+                for j in range(1, n + 1):
+                    out = apply_operator(terms, r.derivative(i, j, p))
+                    moves = [(r.cell(i, j), None)]
+                    assert out == _apply_cell_by_cell(r, terms, p, moves)
+                for k in range(1, ell + 1):
+                    out = apply_operator(terms, r.polarization(i, k, p))
+                    moves = [(r.cell(k, j), r.cell(i, j)) for j in range(1, n + 1)]
+                    assert out == _apply_cell_by_cell(r, terms, p, moves)
+
+
+def test_compiled_operators_drop_cancelling_terms_and_are_cached():
+    r = ring(2, 3)
+    x = r.var
+    # E[1,2]^(1) sends x11 x22 - x12 x21 to x11 x12 - x12 x11 = 0
+    f = x(1, 1) * x(2, 2) - x(1, 2) * x(2, 1)
+    assert apply_operator(f.terms, r.polarization(1, 2)) == {}
+    # the x11 x12 images of g's first two terms cancel; the rest survive
+    g = x(1, 1) * x(2, 2) - x(1, 2) * x(2, 1) + x(2, 1) * x(2, 2)
+    assert g.polarize(1, 2) == x(1, 1) * x(2, 2) + x(2, 1) * x(1, 2)
+    # exponents below p contribute nothing
+    assert (x(1, 1) ** 2).derive(1, 1, 3).is_zero()
+    assert (x(1, 1) ** 2 * x(1, 2) ** 3).polarize(2, 1, 3) == 6 * x(1, 1) ** 2 * x(2, 2)
+    assert r.derivative(2, 3, 2) is r.derivative(2, 3, 2)
+    assert r.polarization(2, 1, 3) is r.polarization(2, 1, 3)
+    assert r.polarization(1, 1, 1) is not r.polarization(1, 1, 2)
+    with pytest.raises(ValueError):
+        r.derivative(1, 1, 0)
+    with pytest.raises(IndexError):
+        r.polarization(3, 1)
 
 
 def test_homogeneous_parts_partition_the_polynomial():
