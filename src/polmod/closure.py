@@ -87,7 +87,7 @@ import heapq
 from math import gcd, lcm
 
 from .errors import UsageError
-from .polyring import Poly, apply_operator, ring
+from .polyring import Poly, apply_operator, ring, terms_text
 from .rationals import QQ
 
 
@@ -173,6 +173,15 @@ def _make_primitive(row, pivot):
         for code in row:
             row[code] //= g
     return row[pivot]
+
+
+def _reduced_terms(row, lead):
+    """(code, numerator, denominator) of an int row scaled to pivot
+    coefficient 1, in decreasing code order."""
+    for code in sorted(row, reverse=True):
+        v = row[code]
+        g = gcd(v, lead)
+        yield code, v // g, lead // g
 
 
 def _integer_terms(terms):
@@ -261,6 +270,12 @@ class GradedSpan:
         )
 
     def to_json_dict(self):
+        """The span as a JSON-ready dict. Each basis row is the text of its
+        Poly in component_basis, rendered straight from the integer row:
+        coefficient v over pivot coefficient lead prints as the reduced
+        (v/g)/(lead/g), g = gcd(v, lead), and, the row being homogeneous,
+        decreasing code order is the graded-lex print order."""
+        r = self.ring
         comps = []
         for d in self.sorted_degrees():
             comp = self.components[d]
@@ -268,7 +283,10 @@ class GradedSpan:
                 {
                     "degree": list(d),
                     "dimension": comp.dimension,
-                    "basis": [str(f) for f in self.component_basis(d)],
+                    "basis": [
+                        terms_text(r, _reduced_terms(row, lead))
+                        for lead, row in zip(comp.leads, comp.rows)
+                    ],
                 }
             )
         return {

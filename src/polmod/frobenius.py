@@ -49,13 +49,18 @@ def _class_inverses(r):
 def component_character(module, d, images):
     """Trace of the column permutation (image tuple) on component V_d.
 
-    The row with pivot m contributes its coefficient at sigma^-1 m.
+    The row with pivot m contributes its coefficient at sigma^-1 m, so
+    under the identity every row contributes 1 and the trace is the
+    dimension.
     """
     comp = module.components.get(tuple(d))
     if comp is None or not comp.dimension:
         return 0
     r = module.ring
-    inv = _class_inverses(r).get(tuple(images)) or Permutation(r, images).inverse()
+    images = tuple(images)
+    if images == tuple(range(1, r.n + 1)):
+        return comp.dimension
+    inv = _class_inverses(r).get(images) or Permutation(r, images).inverse()
     total, den = comp.pivot_sum(r.permute_code(pivot, inv) for pivot in comp.pivots)
     if total % den:
         raise ConsistencyError(

@@ -22,6 +22,13 @@ met, holds each value's moves, one (code delta, falling factorial) pair per
 cell holding at least p. apply_operator, the only kernel, does one table
 lookup per term and then touches only the cells that move. A permutation is
 compiled into a Permutation, one mask and shift per column displacement.
+
+Rendering: terms_text formats terms given as (code, signed numerator,
+denominator) integers, so Poly.__str__ and the basis renderer of the closure
+(which passes its integer echelon rows straight through) share one
+formatter. A monomial's text is the ring's monomial_text: the "*"-join of
+its rows' texts, each looked up by the value of that row's block of the
+code in a per-row table filled as block values are rendered.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 from math import factorial, perm
 
 from .errors import NonHomogeneous, ZeroPolynomial
-from .rationals import QQ, rational_to_string
+from .rationals import QQ
 
 EXP_BITS = 5
 EXP_BASE = 1 << EXP_BITS  # 32: exclusive upper bound for any single exponent
@@ -78,6 +85,11 @@ class PolyRing:
             for j in range(1, n)
         )
         self._operators = {}  # ("d", i, j, p) or ("E", i, k, p) -> Operator
+        self._row_mask = (1 << n * EXP_BITS) - 1
+        # per variable row, top row first: (block shift, {block: text})
+        self._row_texts = tuple(
+            (self.shifts[i * n + n - 1], {}) for i in range(ell)
+        )
 
     # -- codec ------------------------------------------------------------
 
@@ -129,6 +141,30 @@ class PolyRing:
         for mask, shift in sigma.groups:
             out |= (code & mask) << shift
         return out >> self.column_span
+
+    def monomial_text(self, code):
+        """The text of a packed monomial, such as "x[1,2]^3*x[2,1]"; the
+        empty string for the constant monomial."""
+        mask = self._row_mask
+        parts = []
+        for row, (shift, table) in enumerate(self._row_texts, start=1):
+            block = (code >> shift) & mask
+            if block:
+                text = table.get(block)
+                if text is None:
+                    text = table[block] = self._row_text(row, block)
+                parts.append(text)
+        return "*".join(parts)
+
+    def _row_text(self, i, block):
+        factors = []
+        for j in range(1, self.n + 1):
+            a = (block >> (self.n - j) * EXP_BITS) & EXP_MASK
+            if a == 1:
+                factors.append("x[%d,%d]" % (i, j))
+            elif a:
+                factors.append("x[%d,%d]^%d" % (i, j, a))
+        return "*".join(factors)
 
     # -- compiled operators, cached per ring (see apply_operator) ----------
 
@@ -564,30 +600,39 @@ class Poly:
         return sorted(self.terms, key=lambda c: (r.code_total_degree(c), c), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        r = self.ring
-        pieces = []
-        for code in self.sorted_codes():
-            q = self.terms[code]
-            factors = []
-            exps = r.unpack(code)
-            for idx, a in enumerate(exps):
-                if a:
-                    i, j = divmod(idx, r.n)
-                    v = "x[%d,%d]" % (i + 1, j + 1)
-                    factors.append(v if a == 1 else "%s^%d" % (v, a))
-            mag = abs(q)
-            body = "*".join(factors)
-            if not factors:
-                body = rational_to_string(mag)
-            elif mag != 1:
-                body = rational_to_string(mag) + "*" + body
-            if not pieces:
-                pieces.append(body if q > 0 else "-" + body)
-            else:
-                pieces.append((" + " if q > 0 else " - ") + body)
-        return "".join(pieces)
+        terms = self.terms
+        return terms_text(
+            self.ring,
+            ((c, terms[c].numerator, terms[c].denominator) for c in self.sorted_codes()),
+        )
 
     def __repr__(self):
         return "<Poly %dx%d %s>" % (self.ring.ell, self.ring.n, self)
+
+
+def terms_text(ring_, terms):
+    """Text of a polynomial given as (code, signed numerator, positive
+    denominator) integer triples in print order, each fraction reduced:
+    "-3/2*x[1,1]^2 + x[1,2]", or "0" when there are no terms."""
+    monomial_text = ring_.monomial_text
+    pieces = []
+    for code, num, den in terms:
+        if num < 0:
+            sign, num = " - ", -num
+        else:
+            sign = " + "
+        mono = monomial_text(code)
+        if den != 1:
+            body = "%d/%d" % (num, den) if not mono else "%d/%d*%s" % (num, den, mono)
+        elif not mono:
+            body = str(num)
+        elif num != 1:
+            body = "%d*%s" % (num, mono)
+        else:
+            body = mono
+        pieces.append(sign)
+        pieces.append(body)
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)

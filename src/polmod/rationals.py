@@ -30,10 +30,7 @@ def rational_from_string(text):
 
 def rational_to_string(q):
     """Canonical text form: integer when integral, 'a/b' otherwise."""
-    # basis rendering calls this once per term; QQ(q) of a QQ costs as
-    # much as building it
-    if type(q) is not QQ:
-        q = QQ(q)
+    q = QQ(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

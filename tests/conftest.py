@@ -56,3 +56,30 @@ def random_rational(rng, span=9):
 def random_nonzero_rational(rng, span=9):
     num = rng.choice([v for v in range(-span, span + 1) if v])
     return QQ(num, rng.randrange(1, 5))
+
+
+def render_cell_by_cell(f):
+    """Reference text of a Poly: terms by decreasing (total degree, code),
+    each built from its unpacked exponents and its rational coefficient."""
+    r = f.ring
+    pieces = []
+    for code in sorted(f.terms, key=lambda c: (sum(r.unpack(c)), c), reverse=True):
+        q = f.terms[code]
+        factors = []
+        for idx, a in enumerate(r.unpack(code)):
+            if a:
+                i, j = divmod(idx, r.n)
+                v = "x[%d,%d]" % (i + 1, j + 1)
+                factors.append(v if a == 1 else "%s^%d" % (v, a))
+        mag = str(abs(q))
+        if not factors:
+            body = mag
+        elif abs(q) != 1:
+            body = mag + "*" + "*".join(factors)
+        else:
+            body = "*".join(factors)
+        if not pieces:
+            pieces.append(body if q > 0 else "-" + body)
+        else:
+            pieces.append((" + " if q > 0 else " - ") + body)
+    return "".join(pieces) or "0"

@@ -312,6 +312,14 @@ GOLDEN_JOBS = {
     "basis-x11sq-x22-n3-ell2": [
         "basis", "--gen=x[1,1]^2*x[2,2]", "--n", "3", "--ell", "2",
     ],
+    # two-digit column indices
+    "basis-m21-n10-ell1": ["basis", "--gen=m[2,1]", "--n", "10", "--ell", "1"],
+    # three row blocks
+    "basis-x11sq-x32-n3-ell3": [
+        "basis", "--gen=x[1,1]^2*x[3,2]", "--n", "3", "--ell", "3",
+    ],
+    # two-digit exponents and the constant term 1
+    "basis-x11pow11-n1-ell2": ["basis", "--gen=x[1,1]^11", "--n", "1", "--ell", "2"],
     "basis-rational-cubic-n3-ell2": [
         "basis", "--gen=-5/2*m[3] - 1/2*m[2,1] + 3/4*m[1,1,1]",
         "--n", "3", "--ell", "2",

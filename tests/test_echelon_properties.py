@@ -22,6 +22,8 @@ from polmod import (
     ring,
 )
 
+from conftest import render_cell_by_cell
+
 DENOMINATORS = [1, 2, 3, 4, 9, 7919, 9973, 10007]
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -196,3 +198,15 @@ def test_module_is_equivariant_under_row_and_column_permutations(family, data):
     for act in (lambda f: f.apply_row_matrix(matrix), lambda f: f.permute(columns)):
         moved = polarization_module(GeneratorFamily([act(f) for f in polys], mode="orbit"))
         assert moved == span_of(r, [act(f) for f in basis])
+
+
+@PROPERTY_SETTINGS
+@given(families(max_polys=2))
+def test_json_basis_text_is_the_text_of_the_component_basis(family):
+    r, degree, polys = family
+    module = polarization_module(GeneratorFamily(polys, mode="orbit"))
+    doc = module.to_json_dict()
+    assert [c["degree"] for c in doc["components"]] == [list(d) for d in module.sorted_degrees()]
+    for c in doc["components"]:
+        basis = module.component_basis(c["degree"])
+        assert c["basis"] == [render_cell_by_cell(f) for f in basis]

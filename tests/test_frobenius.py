@@ -147,6 +147,24 @@ def test_consistency_gate_reads_each_trace_at_the_inverse_image():
         frobenius_series(span)
 
 
+def test_identity_trace_is_the_component_dimension():
+    # each row contributes its own pivot coefficient over itself, 1
+    for text, n, ell in [("m[2,1]", 4, 2), ("vandermonde", 3, 2), ("x[2,1]^2*x[3,2]", 3, 3)]:
+        module = module_of(text, n, ell)
+        identity = tuple(range(1, n + 1))
+        for d, comp in module.components.items():
+            assert component_character(module, d, identity) == comp.dimension
+            total, den = comp.pivot_sum(comp.pivots)
+            assert total == den * comp.dimension
+    # unstable spans too: the gate reads the identity as their dimension
+    r = ring(1, 3)
+    span = GradedSpan(1, 3)
+    span.insert(r.var(1, 1) + r.var(1, 2).scale(QQ(1, 2)))
+    span.insert(r.var(1, 3).scale(QQ(2, 7)))
+    assert component_character(span, (1,), [1, 2, 3]) == 2
+    assert component_character(span, (2,), (1, 2, 3)) == 0
+
+
 def test_consistency_gate_checks_the_module_dimension():
     class Miscounted(GradedSpan):
         def total_dimension(self):

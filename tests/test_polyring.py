@@ -5,7 +5,7 @@ from math import perm
 import pytest
 
 from polmod import QQ, ring
-from polmod.polyring import MAX_TOTAL_DEGREE, Permutation, apply_operator
+from polmod.polyring import MAX_TOTAL_DEGREE, Permutation, PolyRing, apply_operator
 from polmod.symfunc import cycle_types
 
 from conftest import (
@@ -13,6 +13,7 @@ from conftest import (
     random_homogeneous,
     random_nonzero_homogeneous,
     random_permutation,
+    render_cell_by_cell,
     seeded,
 )
 
@@ -246,6 +247,47 @@ def test_compiled_operators_drop_cancelling_terms_and_are_cached():
         r.derivative(1, 1, 0)
     with pytest.raises(IndexError):
         r.polarization(3, 1)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_rendering_matches_cell_by_cell_reference(ell):
+    for n in range(1, 11):
+        r = ring(ell, n)
+        rng = seeded("render", ell * 100 + n)
+        for count in (1, 3, 12):
+            # mixed total degrees up to the packing cap: not homogeneous
+            terms = {
+                code: QQ(rng.choice([-1, 1]) * rng.randrange(1, 40), rng.choice([1, 1, 2, 3, 12]))
+                for code in _random_terms(rng, r, count)
+            }
+            if rng.randrange(2):
+                terms[0] = QQ(rng.choice([-7, -1, 1, 5]), rng.choice([1, 4]))
+            f = r.from_terms(terms)
+            assert str(f) == render_cell_by_cell(f)
+            assert str(-f) == render_cell_by_cell(-f)
+
+
+def test_rendering_edge_cases():
+    r = ring(2, 10)
+    x = r.var
+    assert str(r.zero()) == "0"
+    assert str(r.one()) == "1"
+    assert str(r.const(-1)) == "-1"
+    assert str(r.const(QQ(-3, 2)) + x(1, 1)) == "x[1,1] - 3/2"
+    assert str(-(x(1, 10) ** 11) * x(2, 1)) == "-x[1,10]^11*x[2,1]"
+    assert str(QQ(2, 4) * x(2, 10) - x(1, 1) * x(1, 2)) == "-x[1,1]*x[1,2] + 1/2*x[2,10]"
+
+
+def test_monomial_texts_are_tabled_per_row_as_rendered():
+    r = PolyRing(2, 3)  # uncached, so its tables start empty
+    assert all(not table for _, table in r._row_texts)
+    x = r.var
+    f = x(1, 1) ** 2 * x(2, 3) + x(1, 1) ** 2 * x(2, 2) + 3 * x(1, 2)
+    assert str(f) == "x[1,1]^2*x[2,2] + x[1,1]^2*x[2,3] + 3*x[1,2]"
+    first, second = (table for _, table in r._row_texts)
+    assert sorted(first.values()) == ["x[1,1]^2", "x[1,2]"]
+    assert sorted(second.values()) == ["x[2,2]", "x[2,3]"]
+    assert r.monomial_text(0) == ""
 
 
 def test_homogeneous_parts_partition_the_polynomial():
