@@ -21,18 +21,20 @@ reduces a candidate.
 The polarization module of a stable generator family is the smallest space
 containing it that is closed under every first partial d/dx[i,j] and every
 polarization E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p. The worklist applies
-only the row-1 partials D_j = d/dx[1,j], the adjacent polarizations
+only the row-1 partial D_1 = d/dx[1,1], the adjacent polarizations
 E[i,i+1]^(1) (raising: degree moves up to row i) and E[i+1,i]^(1)
-(lowering: degree moves down to row i + 1), and E[1,1]^(2) and E[1,1]^(3)
-(orders above the source-row degree annihilate). Its fixpoint W is closed
-under the rest, since a space closed under two operators is closed under
-their commutator:
+(lowering: degree moves down to row i + 1), E[1,1]^(2) and E[1,1]^(3)
+(orders above the source-row degree annihilate), and the adjacent column
+transpositions tau_j = (j j+1), 1 <= j < n. Its fixpoint W is closed under
+the rest, since a space closed under two operators is closed under their
+commutator, and a space stable under a permutation sigma and closed under
+an operator A is closed under sigma A sigma^-1:
 
 - E[i,k]^(1) for |i - k| >= 2 is an iterated commutator of adjacent ones:
   [E[i,j]^(1), E[j,k]^(1)] = E[i,k]^(1) for i != k, so by induction on
   |i - k| (j = i + 1 or i - 1), W is closed under every E[i,k]^(1), i != k.
   For example E[1,3]^(1) = [E[1,2]^(1), E[2,3]^(1)].
-- d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)] for k >= 2.
+- d/dx[k,1] = [D_1, E[1,k]^(1)] for k >= 2.
 - E[1,1]^(p) for p >= 4: per column, [x d^2, x d^p] = (2 - p) x d^(p+1)
   (d = d/dx[1,j]; columns commute), so summing over j,
   E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] / (2 - p) for p >= 3, and by
@@ -43,17 +45,33 @@ their commutator:
   (a finite-dimensional gl_ell-module), in particular under the row swap
   sigma = (1 k), and E[k,k]^(p) = sigma E[1,1]^(p) sigma.
 - E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)] for i != k.
+- The tau_j generate S_n, so W is S_n-stable, and
+  d/dx[i,j] = sigma d/dx[i,1] sigma for the column swap sigma = (1 j).
 
-No such argument covers E[1,1]^(3), so it is applied.
+No such argument covers E[1,1]^(3), so it is applied. W lies in the
+polarization module M: a GeneratorFamily spans an S_n-stable space, and the
+set of all partials and polarizations is stable under conjugation by every
+column permutation sigma (sigma d/dx[i,j] sigma^-1 = d/dx[i,sigma(j)], and
+sigma commutes with every polarization), so sigma M is a space of the same
+kind containing the generators, and M, the smallest one, is S_n-stable.
 
 The worklist also skips some applications to single rows. Every queued
-snapshot remembers the operator E = E[i,k]^(1) that created it, if any, and
-its children skip:
+snapshot remembers the operator E that created it, if any, and its children
+skip:
 
 - every raising E[j,j+1]^(1) when E is lowering, E = E[i+1,i]^(1);
-- every D_j when i != 1, because [D_j, E[i,k]^(1)] = delta_{i1} d/dx[k,j];
-- also every E[1,1]^(p) when i != 1 and k != 1, because the two operators
-  act on disjoint rows and commute.
+- D_1 when E = E[i,k]^(1) with i != 1, because
+  [D_1, E[i,k]^(1)] = delta_{i1} d/dx[k,1];
+- also every E[1,1]^(p) when E = E[i,k]^(1) with i != 1 and k != 1,
+  because the two operators act on disjoint rows and commute;
+- every tau_j when E is a polarization E[i,k]^(1) or E[1,1]^(p), which are
+  column-symmetric and commute with every column permutation;
+- every tau_j with j >= 2 when E = D_1, because those fix column 1 and
+  commute with D_1;
+- tau_j when E = tau_j, because tau_j^2 = 1.
+
+A transposition candidate equal to its source is dropped, as it is already
+in W.
 
 Proof that W is still closed under every applied operator. W is the span
 of all snapshots. A snapshot s created from a snapshot t by an operator E
@@ -74,11 +92,22 @@ nothing.
    is in W by step 1, and t is in W.
 3. By steps 1 and 2 and the commutators above, W is closed under every
    E[i,k]^(1), i != k. Claim: A s is in W for every snapshot s and every
-   applied A = D_j or E[1,1]^(p); again by induction over creation order.
+   applied A = D_1 or E[1,1]^(p); again by induction over creation order.
    A is applied to s unless s was created from t by some E = E[i,k]^(1)
    with [A, E] = 0. Then A s = a E (A t) + (sum of A applied to earlier
    snapshots), which is in W: A t and the rest are in W by induction, and
    E W is in W.
+4. By steps 1 to 3 and the commutators above, W is closed under every
+   derivative d/dx[i,1] and every polarization E[i,k]^(p). Claim:
+   tau_j s is in W for every snapshot s and every j; again by induction
+   over creation order. tau_j is applied to s unless s was created from t
+   by an E that commutes with tau_j (a polarization, or D_1 with j >= 2),
+   or by E = tau_j. In the first case tau_j s = a E (tau_j t) + (sum of
+   tau_j applied to earlier snapshots), which is in W: tau_j t and the rest
+   are in W by induction, and E W is in W. In the second case
+   tau_j s = a t + (sum of tau_j applied to earlier snapshots), and t is in
+   W. So W is closed under every tau_j, hence S_n-stable, and so closed
+   under every d/dx[1,j] = sigma D_1 sigma with sigma = (1 j).
 """
 
 from __future__ import annotations
@@ -87,7 +116,7 @@ import heapq
 from math import gcd, lcm
 
 from .errors import UsageError
-from .polyring import Poly, apply_operator, ring, terms_text
+from .polyring import EXP_BITS, Poly, apply_operator, ring, terms_text
 from .rationals import QQ
 
 
@@ -337,19 +366,31 @@ class GeneratorFamily:
 
 
 def _orbit_close(polys, r):
+    """The distinct images of polys under the column action, by depth-first
+    application of the adjacent transpositions from a stack.
+
+    A polynomial is known by its (code, numerator, denominator) integers,
+    so no Fraction is hashed. An image equal to its source is not pushed;
+    it would be popped as already seen, so the order of the result is the
+    same as if it were.
+    """
     seen = []
     queue = list(polys)
     taus = r.transpositions
     keyset = set()
     while queue:
         f = queue.pop()
-        key = frozenset(f.terms.items())
+        key = frozenset(
+            (code, q.numerator, q.denominator) for code, q in f.terms.items()
+        )
         if key in keyset:
             continue
         keyset.add(key)
         seen.append(f)
         for tau in taus:
-            queue.append(f.permute(tau))
+            g = f.permute(tau)
+            if g.terms != f.terms:
+                queue.append(g)
     return seen
 
 
@@ -372,39 +413,51 @@ def _check_span_stable(polys, r):
 # closure operators
 
 
-# operator kinds a snapshot may skip, as bits of the mask in _operators
-_ROW1_PARTIALS = 1
+# operator kinds a snapshot may skip, as bits of the mask in _operators; the
+# column transposition (j j+1) has the bit _TRANSPOSITION << (j - 1)
+_ROW1_PARTIAL = 1
 _ROW1_SELF_POLARIZATIONS = 2
 _RAISING = 4
+_TRANSPOSITION = 8
 
 
 def _operators(r, degree):
     """(target degree, operator, kind, skip) of each closure operator on
-    V_degree; the operators are the ring's compiled, cached Operator objects.
+    V_degree.
 
-    The row-1 partials d/dx[1,j] by column j, the adjacent polarizations
-    E[i,k]^(1), |i - k| = 1, by (k, i), then the row-1 self-polarizations
-    E[1,1]^(p), 2 <= p <= min(3, d_1). The module docstring proves every
-    other derivative and polarization redundant: E[i,k]^(1) is an iterated
-    commutator of adjacent ones, d/dx[k,j] = [d/dx[1,j], E[1,k]^(1)],
+    The row-1 partial D_1 = d/dx[1,1], the adjacent polarizations
+    E[i,k]^(1), |i - k| = 1, by (k, i), the row-1 self-polarizations
+    E[1,1]^(p), 2 <= p <= min(3, d_1), then the adjacent column
+    transpositions tau_j = (j j+1) by j. Derivatives and polarizations are
+    the ring's compiled, cached Operator objects; tau_j is the mask triple
+    (other columns, column j, column j + 1) that swaps the two columns of a
+    code with two shifts. The module docstring proves every other
+    derivative and polarization redundant: E[i,k]^(1) is an iterated
+    commutator of adjacent ones, d/dx[k,1] = [D_1, E[1,k]^(1)],
     E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] / (2 - p) for p >= 3,
     E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row swap sigma = (1 k) (the
-    fixpoint is GL_ell-stable) and E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)]. The
-    Euler operators E[k,k]^(1) only scale a component.
+    fixpoint is GL_ell-stable), E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)], and
+    d/dx[i,j] = sigma d/dx[i,1] sigma for the column swap sigma = (1 j) (the
+    fixpoint is S_n-stable). The Euler operators E[k,k]^(1) only scale a
+    component.
 
     kind is the operator's bit (0 for the lowering E[k+1,k]^(1), which is
     never skipped); skip holds the bits of the operators that the rows it
     creates are not given. A lowering E[k+1,k]^(1) skips the raising
     E[j,j+1]^(1), whose commutator with it acts on each component as a
     scalar. Every E[i,k]^(1) skips the operators that commute with it:
-    d/dx[1,j] for i != 1, and E[1,1]^(p) for i, k != 1.
+    D_1 for i != 1, E[1,1]^(p) for i, k != 1, and every tau_j. E[1,1]^(p)
+    skips every tau_j too, D_1 skips the tau_j with j >= 2, which fix
+    column 1, and tau_j skips itself (tau_j^2 = 1).
     """
+    n = r.n
+    taus = (_TRANSPOSITION << (n - 1)) - _TRANSPOSITION
     d1 = degree[0]
     ops = []
     if d1:
         lowered = (d1 - 1,) + degree[1:]
-        for j in range(1, r.n + 1):
-            ops.append((lowered, r.derivative(1, j), _ROW1_PARTIALS, 0))
+        skip = taus & ~_TRANSPOSITION
+        ops.append((lowered, r.derivative(1, 1), _ROW1_PARTIAL, skip))
     for k in range(1, r.ell + 1):
         for i in (k - 1, k + 1):
             if 1 <= i <= r.ell and degree[k - 1]:
@@ -412,15 +465,21 @@ def _operators(r, degree):
                 lowered[k - 1] -= 1
                 lowered[i - 1] += 1
                 kind = _RAISING if i < k else 0
-                skip = 0 if kind else _RAISING
+                skip = taus if kind else taus | _RAISING
                 if i != 1:
-                    skip |= _ROW1_PARTIALS
+                    skip |= _ROW1_PARTIAL
                     if k != 1:
                         skip |= _ROW1_SELF_POLARIZATIONS
                 ops.append((tuple(lowered), r.polarization(i, k), kind, skip))
     for p in range(2, min(3, d1) + 1):
         lowered = (d1 - p + 1,) + degree[1:]
-        ops.append((lowered, r.polarization(1, 1, p), _ROW1_SELF_POLARIZATIONS, 0))
+        ops.append((lowered, r.polarization(1, 1, p), _ROW1_SELF_POLARIZATIONS, taus))
+    columns = r.column_masks
+    every = sum(columns)
+    for j in range(1, n):
+        left, right = columns[j - 1], columns[j]
+        bit = _TRANSPOSITION << (j - 1)
+        ops.append((degree, (every ^ left ^ right, left, right), bit, bit))
     return ops
 
 
@@ -433,6 +492,9 @@ def _close(span):
     rows (back-substitution), but each rewrite subtracts rows that are
     themselves queued, so the processed snapshots still span the final space
     and the closure argument (module docstring) goes through unchanged.
+    A transposition moves no coefficient, so its candidate is the source
+    dict with its codes swapped in one comprehension, and it is dropped when
+    it equals the source.
     """
     r = span.ring
     heap = []
@@ -450,9 +512,18 @@ def _close(span):
         for dd, op, kind, skip in ops[d]:
             if kind & skipped:
                 continue
-            out = apply_operator(terms, op)
-            if not out:
-                continue
+            if kind >= _TRANSPOSITION:
+                keep, left, right = op
+                out = {
+                    c & keep | (c & left) >> EXP_BITS | (c & right) << EXP_BITS: v
+                    for c, v in terms.items()
+                }
+                if out == terms:
+                    continue
+            else:
+                out = apply_operator(terms, op)
+                if not out:
+                    continue
             comp = span.component(dd)
             pos = _insert_at(comp, out)
             if pos is not None:

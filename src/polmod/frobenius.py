@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import mul
 
 from .errors import ConsistencyError, NotSymmetric, UsageError
 from .polyring import Permutation
@@ -70,24 +71,34 @@ def component_character(module, d, images):
     return total // den
 
 
+@cache
+def _weighted_characters(n):
+    """((lam, (class size * chi^lam(class) for each cycle type)), ...) over
+    the partitions lam of n, classes in cycle_types(n) order."""
+    chi = character_table(n)
+    cts = cycle_types(n)
+    return tuple(
+        (lam, tuple(ct.size * chi[(lam, ct.parts)] for ct in cts))
+        for lam in partitions_of(n)
+    )
+
+
 def component_isotype(module, d):
     """Multiplicities {irreducible label: count} of V_d, by character theory.
 
-    Labels are partitions of n. Non-integral or negative multiplicities mean
-    the span is not actually stable (or the engine is broken) and raise.
+    Labels are partitions of n; each multiplicity is the dot product of the
+    component's traces with a class-size-weighted character row, over n!.
+    Non-integral or negative multiplicities mean the span is not actually
+    stable (or the engine is broken) and raise.
     """
     n = module.n
-    cts = cycle_types(n)
-    values = {
-        ct.parts: component_character(module, d, ct.representative) for ct in cts
-    }
-    chi = character_table(n)
+    values = [
+        component_character(module, d, ct.representative) for ct in cycle_types(n)
+    ]
     order = factorial(n)
     out = {}
-    for lam in partitions_of(n):
-        s = 0
-        for ct in cts:
-            s += ct.size * values[ct.parts] * chi[(lam, ct.parts)]
+    for lam, row in _weighted_characters(n):
+        s = sum(map(mul, row, values))
         if s % order != 0:
             raise ConsistencyError(
                 "fractional multiplicity %s/%s for %s on component %s"

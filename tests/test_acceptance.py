@@ -447,6 +447,51 @@ def test_column_permutation_equivariance():
         assert lhs == rhs, (ell, n, sigma, i, j)
 
 
+def test_transpositions_fixing_column_one_commute_with_its_derivative():
+    """[tau_j, d/dx[1,1]] = 0 for tau_j = (j j+1), j >= 2."""
+    rng = seeded("acceptance-transposition-derivative")
+    for _ in range(50):
+        ell = rng.choice((1, 2, 3))
+        n = rng.randint(3, 5)
+        r = ring(ell, n)
+        g = _random_poly_with_row_degree(rng, r, 1, 1)
+        j = rng.randint(2, n - 1)
+        tau = r.transpositions[j - 1]
+        assert g.permute(tau).derive(1, 1) == g.derive(1, 1).permute(tau), (ell, n, j)
+
+
+def test_transpositions_commute_with_polarizations():
+    """[tau_j, E[i,k]^(p)] = 0 for every adjacent transposition tau_j."""
+    rng = seeded("acceptance-transposition-polarization")
+    for _ in range(50):
+        ell = rng.choice((1, 2, 3))
+        n = rng.randint(2, 5)
+        r = ring(ell, n)
+        i = rng.randint(1, ell)
+        k = rng.randint(1, ell)
+        p = rng.randint(1, 4)
+        g = _random_poly_with_row_degree(rng, r, k, p)
+        j = rng.randint(1, n - 1)
+        tau = r.transpositions[j - 1]
+        lhs = g.permute(tau).polarize(i, k, p)
+        assert lhs == g.polarize(i, k, p).permute(tau), (ell, n, i, k, p, j)
+
+
+def test_transposition_conjugates_the_column_one_derivative():
+    """tau_j d/dx[1,1] tau_j = d/dx[1,tau_j(1)]: d/dx[1,2] for j = 1, else
+    d/dx[1,1]."""
+    rng = seeded("acceptance-transposition-conjugate")
+    for _ in range(50):
+        ell = rng.choice((1, 2, 3))
+        n = rng.randint(2, 5)
+        r = ring(ell, n)
+        g = _random_poly_with_row_degree(rng, r, 1, 1)
+        j = rng.randint(1, n - 1)
+        tau = r.transpositions[j - 1]
+        lhs = g.permute(tau).derive(1, 1).permute(tau)
+        assert lhs == g.derive(1, tau.images[0]), (ell, n, j)
+
+
 def test_row_shift_round_trip_scales_by_degree():
     """E_{1,i} E_{i,1} acts as multiplication by the degree on row 1."""
     rng = seeded("acceptance-row-shift")

@@ -333,6 +333,13 @@ GOLDEN_JOBS = {
     "frobenius-x21sq-x32-n5-ell3": [
         "frobenius", "--gen=x[2,1]^2*x[3,2]", "--n", "5", "--ell", "3",
     ],
+    # orbits whose closure makes transposition candidates that are not invariant
+    "frobenius-x11sq-x12-n4-ell3": [
+        "frobenius", "--gen=x[1,1]^2*x[1,2]", "--n", "4", "--ell", "3",
+    ],
+    "basis-x11cu-x12-x23-n4-ell2": [
+        "basis", "--gen=x[1,1]^3*x[1,2]*x[2,3]", "--n", "4", "--ell", "2",
+    ],
     "hilbert-m32-n5-ell2": ["hilbert", "--gen=m[3,2]", "--n", "5", "--ell", "2"],
     "classify-m3-m21-n4-ell2": [
         "classify", "--gen=m[3] + m[2,1]", "--n", "4", "--ell", "2",

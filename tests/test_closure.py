@@ -70,6 +70,35 @@ def test_generator_family_orbit_closure():
     assert span.total_dimension() == 6
 
 
+def _orbit_by_plain_stack_search(polys, r):
+    """Reference orbit: pop from a stack, keep what is new, push every
+    transposition image."""
+    seen, keys, stack = [], set(), list(polys)
+    while stack:
+        f = stack.pop()
+        key = frozenset(f.terms.items())
+        if key not in keys:
+            keys.add(key)
+            seen.append(f)
+            stack.extend(f.permute(tau) for tau in r.transpositions)
+    return seen
+
+
+def test_orbit_lists_images_in_plain_stack_search_order():
+    rng = seeded("closure-orbit-order")
+    for _ in range(40):
+        r = ring(rng.randint(1, 3), rng.randint(1, 5))
+        degree = tuple(rng.randint(0, 2) for _ in range(r.ell))
+        polys = [
+            random_nonzero_homogeneous(rng, r, degree, terms=rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2))
+        ]
+        got = GeneratorFamily(polys, mode="orbit").polys
+        want = _orbit_by_plain_stack_search(polys, r)
+        assert [f.terms for f in got] == [f.terms for f in want]
+        assert [list(f.terms) for f in got] == [list(f.terms) for f in want]
+
+
 def test_generator_family_verbatim_requires_stability():
     r = ring(1, 3)
     e2 = expand_basis("e", (2,), 1, 3, 1)

@@ -6,7 +6,8 @@ elimination over fractions.Fraction and against the invariants the engine
 relies on: canonical reduced echelon form, independence of insertion order
 and scaling, closure under every derivative and polarization (the closure
 applies only some of them), closure idempotence, GL_ell stability of the
-dimensions, and equivariance under row and column permutations.
+dimensions, stability under the column transpositions of modules of
+non-symmetric families, and equivariance under row and column permutations.
 """
 
 from fractions import Fraction
@@ -184,6 +185,43 @@ def test_closure_is_idempotent_and_row_stable(family):
     dims = module.dims()
     for d, dim in dims.items():
         assert dims.get(tuple(sorted(d, reverse=True))) == dim
+
+
+@st.composite
+def non_symmetric_families(draw):
+    """A GeneratorFamily that is stable but not symmetric: the column orbit
+    of a random monomial, given as such or verbatim (its images scaled, or
+    the differences of one image with the others)."""
+    ell = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    degree = [draw(st.integers(0, 2)) for _ in range(ell)]
+    degree[0] = draw(st.integers(1, 2))
+    r = ring(ell, n)
+    m = r.monomial(draw(monomial_exps(n, degree)), draw(rationals()))
+    kind = draw(st.sampled_from(("orbit", "scaled", "differences")))
+    if kind == "orbit":
+        return GeneratorFamily([m], mode="orbit")
+    images = GeneratorFamily([m], mode="orbit").polys
+    if kind == "scaled":
+        polys = [f.scale(draw(rationals())) for f in images]
+    else:
+        polys = [images[0] - f for f in images[1:]] or images
+    return GeneratorFamily(polys, mode="verbatim")
+
+
+@PROPERTY_SETTINGS
+@given(non_symmetric_families())
+def test_modules_of_non_symmetric_families_are_column_stable(family):
+    # the closure applies d/dx[1,1] and the adjacent transpositions only
+    r = family.ring
+    module = polarization_module(family)
+    for d in module.sorted_degrees():
+        for g in module.component_basis(d):
+            for tau in r.transpositions:
+                assert module.member(g.permute(tau)), (d, tau.images)
+            for i in range(1, r.ell + 1):
+                for j in range(1, r.n + 1):
+                    assert module.member(g.derive(i, j)), (d, i, j)
 
 
 @PROPERTY_SETTINGS
