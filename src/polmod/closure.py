@@ -18,23 +18,25 @@ and basis rows go out divided by their pivot coefficient. Because every row's mo
 bounded by its own pivot, a single descending pass over the rows fully
 reduces a candidate.
 
-The polarization module of a stable generator family is the smallest space
-containing it that is closed under every first partial d/dx[i,j] and every
-polarization E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p. The worklist applies
-only the row-1 partial D_1 = d/dx[1,1], the adjacent polarizations
-E[i,i+1]^(1) (raising: degree moves up to row i) and E[i+1,i]^(1)
-(lowering: degree moves down to row i + 1), E[1,1]^(2) and E[1,1]^(3)
-(orders above the source-row degree annihilate), and the adjacent column
-transpositions tau_j = (j j+1), 1 <= j < n. Its fixpoint W is closed under
-the rest, since a space closed under two operators is closed under their
-commutator, and a space stable under a permutation sigma and closed under
-an operator A is closed under sigma A sigma^-1:
+The polarization module of generators F is the smallest space containing
+their orbit under the column action that is closed under every first
+partial d/dx[i,j] and every polarization
+E[i,k]^(p) = sum_j x[i,j] d^p/dx[k,j]^p. The worklist applies only the
+row-1 partial D_1 = d/dx[1,1], the adjacent polarizations E[i,i+1]^(1)
+(raising: degree moves up to row i) and E[i+1,i]^(1) (lowering: degree
+moves down to row i + 1), E[1,1]^(2), E[1,1]^(3) at ell = 1 only (orders
+above the source-row degree annihilate), and the adjacent column
+transpositions tau_j = (j j+1), 1 <= j < n. Its fixpoint W, started from F
+itself, is closed under the rest, since a space closed under two operators
+is closed under their commutator, and a space stable under a permutation
+sigma and closed under an operator A is closed under sigma A sigma^-1:
 
 - E[i,k]^(1) for |i - k| >= 2 is an iterated commutator of adjacent ones:
   [E[i,j]^(1), E[j,k]^(1)] = E[i,k]^(1) for i != k, so by induction on
   |i - k| (j = i + 1 or i - 1), W is closed under every E[i,k]^(1), i != k.
   For example E[1,3]^(1) = [E[1,2]^(1), E[2,3]^(1)].
 - d/dx[k,1] = [D_1, E[1,k]^(1)] for k >= 2.
+- E[1,1]^(3) at ell >= 2, by the identity after step 3 below.
 - E[1,1]^(p) for p >= 4: per column, [x d^2, x d^p] = (2 - p) x d^(p+1)
   (d = d/dx[1,j]; columns commute), so summing over j,
   E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] / (2 - p) for p >= 3, and by
@@ -48,12 +50,17 @@ an operator A is closed under sigma A sigma^-1:
 - The tau_j generate S_n, so W is S_n-stable, and
   d/dx[i,j] = sigma d/dx[i,1] sigma for the column swap sigma = (1 j).
 
-No such argument covers E[1,1]^(3), so it is applied. W lies in the
-polarization module M: a GeneratorFamily spans an S_n-stable space, and the
-set of all partials and polarizations is stable under conjugation by every
-column permutation sigma (sigma d/dx[i,j] sigma^-1 = d/dx[i,sigma(j)], and
-sigma commutes with every polarization), so sigma M is a space of the same
-kind containing the generators, and M, the smallest one, is S_n-stable.
+No such argument covers E[1,1]^(3) at ell = 1, so it is applied there.
+
+W is the polarization module M. The set of all partials and polarizations
+is stable under conjugation by every column permutation sigma
+(sigma d/dx[i,j] sigma^-1 = d/dx[i,sigma(j)], and sigma commutes with every
+polarization), so sigma M is a space of the same kind containing the orbit,
+and M, the smallest one, is S_n-stable. So M contains F and is closed under
+every operator the worklist applies, and W, spanned by images of F under
+those operators, lies in M. Conversely, W contains F and is S_n-stable
+(step 4), so it contains the orbit of F, and it is closed under every
+partial and polarization, so it contains M.
 
 The worklist also skips some applications to single rows. Every queued
 snapshot remembers the operator E that created it, if any, and its children
@@ -97,14 +104,29 @@ nothing.
    with [A, E] = 0. Then A s = a E (A t) + (sum of A applied to earlier
    snapshots), which is in W: A t and the rest are in W by induction, and
    E W is in W.
-4. By steps 1 to 3 and the commutators above, W is closed under every
-   derivative d/dx[i,1] and every polarization E[i,k]^(p). Claim:
-   tau_j s is in W for every snapshot s and every j; again by induction
-   over creation order. tau_j is applied to s unless s was created from t
-   by an E that commutes with tau_j (a polarization, or D_1 with j >= 2),
-   or by E = tau_j. In the first case tau_j s = a E (tau_j t) + (sum of
-   tau_j applied to earlier snapshots), which is in W: tau_j t and the rest
-   are in W by induction, and E W is in W. In the second case
+
+At ell >= 2, E[1,1]^(3) is not applied, and W is still closed under it.
+By steps 1 to 3, W is closed under E[1,1]^(2) and every E[i,k]^(1),
+i != k, so it is GL_ell-stable and closed under E[2,2]^(2), the row-swap
+conjugate of E[1,1]^(2), and under E[2,1]^(2) = [E[2,1]^(1), E[1,1]^(2)].
+With C = [E[2,2]^(2), E[2,1]^(2)]:
+
+    E[1,1]^(3) = (5/2) C - [E[2,1]^(1), [E[1,2]^(1), C/2]].
+
+Per column, with d_i = d/dx[i,j]: [x2 d2^2, x2 d1^2] = 2 x2 d2 d1^2,
+[x1 d2, x2 d2 d1^2] = x1 d2 d1^2 - 2 x2 d2^2 d1,
+[x2 d1, x1 d2 d1^2] = x2 d2 d1^2 - x1 d1^3 and
+[x2 d1, x2 d2^2 d1] = -2 x2 d2 d1^2.
+
+4. By steps 1 to 3, the identity and the commutators above, W is closed
+   under every derivative d/dx[i,1] and every polarization E[i,k]^(p).
+   Claim: tau_j s is in W for every snapshot s and every j; again by
+   induction over creation order. tau_j is applied to s unless s was
+   created from t by an E that commutes with tau_j (a polarization, or D_1
+   with j >= 2), or by E = tau_j. In the first case
+   tau_j s = a E (tau_j t) + (sum of tau_j applied to earlier snapshots),
+   which is in W: tau_j t and the rest are in W by induction, and E W is
+   in W. In the second case
    tau_j s = a t + (sum of tau_j applied to earlier snapshots), and t is in
    W. So W is closed under every tau_j, hence S_n-stable, and so closed
    under every d/dx[1,j] = sigma D_1 sigma with sigma = (1 j).
@@ -247,16 +269,19 @@ class GradedSpan:
         return comp
 
     def insert(self, f):
-        """Insert a homogeneous Poly; True if the span grew."""
-        if isinstance(f, Poly):
-            if f.is_zero():
-                return False
-            d = f.multidegree()  # raises NonHomogeneous on bad input
-            return _insert_at(self.component(d), _integer_terms(f.terms)) is not None
-        raise TypeError("insert expects a Poly")
+        """Insert a homogeneous Poly of the span's ring; True if the span
+        grew."""
+        if not isinstance(f, Poly):
+            raise TypeError("insert expects a Poly")
+        f._check_same_ring(self)
+        if f.is_zero():
+            return False
+        d = f.multidegree()  # raises NonHomogeneous on bad input
+        return _insert_at(self.component(d), _integer_terms(f.terms)) is not None
 
     def member(self, f):
-        """Exact span membership of a homogeneous Poly."""
+        """Exact span membership of a homogeneous Poly of the span's ring."""
+        f._check_same_ring(self)
         if f.is_zero():
             return True
         d = f.multidegree()
@@ -332,12 +357,14 @@ class GradedSpan:
 
 
 class GeneratorFamily:
-    """A stable family of homogeneous generators.
+    """A family of homogeneous generators; polys holds the given nonzero
+    polynomials.
 
-    mode 'orbit': the family is the symmetric-group orbit of the given
-    polynomials (closed here by breadth-first application of adjacent
-    transpositions). mode 'verbatim': the polynomials are taken as given and
-    their span is checked to be stable under the column action.
+    mode 'orbit': the family stands for the symmetric-group orbit of the
+    given polynomials, which the closure builds with its column
+    transpositions. mode 'verbatim': the span of the polynomials is checked
+    to be stable under the column action, so that outside input that is not
+    is rejected.
     """
 
     def __init__(self, polys, mode="orbit", text=None):
@@ -352,46 +379,14 @@ class GeneratorFamily:
                 raise UsageError("generator %s is not homogeneous" % f)
         self.mode = mode
         self.text = list(text or [])
-        nonzero = [f for f in polys if not f.is_zero()]
-        if mode == "orbit":
-            self.polys = _orbit_close(nonzero, self.ring)
-        elif mode == "verbatim":
-            self.polys = nonzero
-            _check_span_stable(nonzero, self.ring)
-        else:
+        self.polys = [f for f in polys if not f.is_zero()]
+        if mode == "verbatim":
+            _check_span_stable(self.polys, self.ring)
+        elif mode != "orbit":
             raise UsageError("unknown family mode %r" % mode)
 
     def is_zero(self):
         return not self.polys
-
-
-def _orbit_close(polys, r):
-    """The distinct images of polys under the column action, by depth-first
-    application of the adjacent transpositions from a stack.
-
-    A polynomial is known by its (code, numerator, denominator) integers,
-    so no Fraction is hashed. An image equal to its source is not pushed;
-    it would be popped as already seen, so the order of the result is the
-    same as if it were.
-    """
-    seen = []
-    queue = list(polys)
-    taus = r.transpositions
-    keyset = set()
-    while queue:
-        f = queue.pop()
-        key = frozenset(
-            (code, q.numerator, q.denominator) for code, q in f.terms.items()
-        )
-        if key in keyset:
-            continue
-        keyset.add(key)
-        seen.append(f)
-        for tau in taus:
-            g = f.permute(tau)
-            if g.terms != f.terms:
-                queue.append(g)
-    return seen
 
 
 def _check_span_stable(polys, r):
@@ -427,16 +422,18 @@ def _operators(r, degree):
 
     The row-1 partial D_1 = d/dx[1,1], the adjacent polarizations
     E[i,k]^(1), |i - k| = 1, by (k, i), the row-1 self-polarizations
-    E[1,1]^(p), 2 <= p <= min(3, d_1), then the adjacent column
-    transpositions tau_j = (j j+1) by j. Derivatives and polarizations are
-    the ring's compiled, cached Operator objects; tau_j is the mask triple
-    (other columns, column j, column j + 1) that swaps the two columns of a
-    code with two shifts. The module docstring proves every other
-    derivative and polarization redundant: E[i,k]^(1) is an iterated
-    commutator of adjacent ones, d/dx[k,1] = [D_1, E[1,k]^(1)],
-    E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] / (2 - p) for p >= 3,
-    E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row swap sigma = (1 k) (the
-    fixpoint is GL_ell-stable), E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)], and
+    E[1,1]^(p), 2 <= p <= min(3, d_1) at ell = 1 and p = 2 otherwise, then
+    the adjacent column transpositions tau_j = (j j+1) by j. Derivatives and
+    polarizations are the ring's compiled, cached Operator objects; tau_j is
+    the mask triple (other columns, column j, column j + 1) that swaps the
+    two columns of a code with two shifts. The module docstring proves every
+    other derivative and polarization redundant: E[i,k]^(1) is an iterated
+    commutator of adjacent ones, d/dx[k,1] = [D_1, E[1,k]^(1)], E[1,1]^(3)
+    at ell >= 2 is a combination of commutators of E[2,1]^(1), E[1,2]^(1),
+    E[2,2]^(2) and E[2,1]^(2), E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] /
+    (2 - p) for p >= 3, E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row
+    swap sigma = (1 k) (the fixpoint is GL_ell-stable),
+    E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)], and
     d/dx[i,j] = sigma d/dx[i,1] sigma for the column swap sigma = (1 j) (the
     fixpoint is S_n-stable). The Euler operators E[k,k]^(1) only scale a
     component.
@@ -471,7 +468,7 @@ def _operators(r, degree):
                     if k != 1:
                         skip |= _ROW1_SELF_POLARIZATIONS
                 ops.append((tuple(lowered), r.polarization(i, k), kind, skip))
-    for p in range(2, min(3, d1) + 1):
+    for p in range(2, min(3 if r.ell == 1 else 2, d1) + 1):
         lowered = (d1 - p + 1,) + degree[1:]
         ops.append((lowered, r.polarization(1, 1, p), _ROW1_SELF_POLARIZATIONS, taus))
     columns = r.column_masks
@@ -565,7 +562,8 @@ def _insert_at(comp, w):
 
 
 def polarization_module(family):
-    """The polarization module of a stable family: joint closure fixpoint."""
+    """The polarization module of a family, that of the column orbit of its
+    generators: the joint closure fixpoint started from the generators."""
     if not isinstance(family, GeneratorFamily):
         raise TypeError("expected a GeneratorFamily")
     r = family.ring

@@ -482,14 +482,6 @@ class Poly:
             return True
         return True
 
-    def homogeneous_parts(self):
-        """Split into {multidegree: homogeneous Poly}."""
-        r = self.ring
-        parts = {}
-        for code, q in self.terms.items():
-            parts.setdefault(r.code_multidegree(code), {})[code] = q
-        return {d: Poly(r, t) for d, t in sorted(parts.items())}
-
     # -- operators --------------------------------------------------------
 
     def derive(self, i, j, p=1):

@@ -432,13 +432,6 @@ class SymSeries:
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def map_partition_weights(self, weight):
-        """sum over terms of coeff * weight(partition)."""
-        total = QQ(0)
-        for lam, q in self.coeffs.items():
-            total = total + q * weight(lam)
-        return total
-
     def __str__(self):
         if not self.coeffs:
             return "0"

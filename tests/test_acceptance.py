@@ -394,6 +394,32 @@ def test_row_one_self_polarization_order_commutator():
         assert lhs == g.polarize(1, 1, p + 1).scale(2 - p), (ell, n, d, p)
 
 
+def test_row_one_third_self_polarization_from_row_two():
+    """E_{1,1}^{(3)} = (5/2) C - [E_{2,1}^{(1)}, [E_{1,2}^{(1)}, C/2]] with
+    C = [E_{2,2}^{(2)}, E_{2,1}^{(2)}], so at ell >= 2 the closure need not
+    apply E_{1,1}^{(3)}."""
+    rng = seeded("acceptance-third-self-polarization")
+
+    def bracket(a, b):
+        # [A, B] g = A(B g) - B(A g), operators as functions of a Poly
+        return lambda g: a(b(g)) - b(a(g))
+
+    def pol(i, k, p):
+        return lambda g: g.polarize(i, k, p)
+
+    c = bracket(pol(2, 2, 2), pol(2, 1, 2))
+    nested = bracket(pol(2, 1, 1), bracket(pol(1, 2, 1), c))
+    for _ in range(50):
+        ell = rng.choice((2, 3))
+        n = rng.randint(1, 4)
+        r = ring(ell, n)
+        d = [rng.randint(0, 2) for _ in range(ell)]
+        d[0] = rng.randint(3, 5)
+        g = random_nonzero_homogeneous(rng, r, tuple(d), terms=3)
+        rhs = c(g).scale(QQ(5, 2)) - nested(g).scale(QQ(1, 2))
+        assert g.polarize(1, 1, 3) == rhs, (ell, n, d)
+
+
 @pytest.mark.parametrize(
     "gens, n", [(["x[1,1]^5*x[1,2]"], 2), (["m[4,2]"], 4), (["e[1]^6"], 3)]
 )

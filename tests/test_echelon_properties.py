@@ -11,6 +11,7 @@ non-symmetric families, and equivariance under row and column permutations.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -189,30 +190,37 @@ def test_closure_is_idempotent_and_row_stable(family):
 
 @st.composite
 def non_symmetric_families(draw):
-    """A GeneratorFamily that is stable but not symmetric: the column orbit
-    of a random monomial, given as such or verbatim (its images scaled, or
-    the differences of one image with the others)."""
+    """A stable but not symmetric family, with the column orbit of a random
+    monomial (its distinct images under every permutation of the columns):
+    (family, orbit). The family is the monomial in mode 'orbit', or the
+    orbit given verbatim (its images scaled, or the differences of one image
+    with the others)."""
     ell = draw(st.integers(1, 3))
     n = draw(st.integers(2, 4))
     degree = [draw(st.integers(0, 2)) for _ in range(ell)]
     degree[0] = draw(st.integers(1, 2))
     r = ring(ell, n)
     m = r.monomial(draw(monomial_exps(n, degree)), draw(rationals()))
+    images = []
+    for sigma in permutations(range(1, n + 1)):
+        g = m.permute(sigma)
+        if g not in images:
+            images.append(g)
     kind = draw(st.sampled_from(("orbit", "scaled", "differences")))
     if kind == "orbit":
-        return GeneratorFamily([m], mode="orbit")
-    images = GeneratorFamily([m], mode="orbit").polys
+        return GeneratorFamily([m], mode="orbit"), images
     if kind == "scaled":
         polys = [f.scale(draw(rationals())) for f in images]
     else:
         polys = [images[0] - f for f in images[1:]] or images
-    return GeneratorFamily(polys, mode="verbatim")
+    return GeneratorFamily(polys, mode="verbatim"), images
 
 
 @PROPERTY_SETTINGS
 @given(non_symmetric_families())
-def test_modules_of_non_symmetric_families_are_column_stable(family):
+def test_modules_of_non_symmetric_families_are_column_stable(family_and_orbit):
     # the closure applies d/dx[1,1] and the adjacent transpositions only
+    family, orbit = family_and_orbit
     r = family.ring
     module = polarization_module(family)
     for d in module.sorted_degrees():
@@ -222,6 +230,9 @@ def test_modules_of_non_symmetric_families_are_column_stable(family):
             for i in range(1, r.ell + 1):
                 for j in range(1, r.n + 1):
                     assert module.member(g.derive(i, j)), (d, i, j)
+    if family.mode == "orbit":
+        # the closure builds the orbit of the given monomial itself
+        assert module == polarization_module(GeneratorFamily(orbit, mode="verbatim"))
 
 
 @PROPERTY_SETTINGS

@@ -37,6 +37,8 @@ def test_monomial_dict_and_flat_agree():
     g = r.monomial((2, 0, 0, 1), QQ(3, 2))
     assert f == g
     assert f.multidegree() == (2, 1)
+    assert f.is_homogeneous()
+    assert not (f + r.var(1, 1) + r.const(5)).is_homogeneous()
 
 
 def test_monomial_degree_capacity_guard():
@@ -288,19 +290,6 @@ def test_monomial_texts_are_tabled_per_row_as_rendered():
     assert sorted(first.values()) == ["x[1,1]^2", "x[1,2]"]
     assert sorted(second.values()) == ["x[2,2]", "x[2,3]"]
     assert r.monomial_text(0) == ""
-
-
-def test_homogeneous_parts_partition_the_polynomial():
-    r = ring(2, 2)
-    f = r.var(1, 1) + r.var(1, 1) * r.var(2, 1) + r.const(5)
-    parts = f.homogeneous_parts()
-    assert set(parts) == {(1, 0), (1, 1), (0, 0)}
-    total = r.zero()
-    for g in parts.values():
-        assert g.is_homogeneous()
-        total = total + g
-    assert total == f
-    assert not f.is_homogeneous()
 
 
 def test_apply_row_matrix_scaling_and_identity():
