@@ -151,6 +151,12 @@ def main(argv=None):
     except PolmodError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print(
+            "error: out of memory (the module is too large for this machine)",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -112,31 +112,136 @@ def expected_hilbert(coeffs, n, ell):
     return out
 
 
-class Session:
-    """Keeps the Hilbert series of every module built, across records.
+def _pool_size(jobs):
+    """Worker processes for `jobs` independent modules: one per CPU this
+    process may run on, and no more than there are modules."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
 
-    Records reuse a module only to read its Hilbert series, so the series
-    is kept and the module itself is left to the caller.
+
+def summarise(key, frobenius):
+    """(Hilbert series, Frobenius series) of the module of one key.
+
+    Each entry is the series or the exception computing it raised; the
+    Frobenius entry is None unless `frobenius`. A failure to build the
+    module is both entries, as a record asking for either would meet it.
+    """
+    generators, mode, n, ell = key
+    try:
+        polys = parse_generator_args(list(generators), ring(ell, n))
+        family = GeneratorFamily(polys, mode=mode, text=list(generators))
+        module = polarization_module(family)
+        hs = hilbert_series(module)
+    except Exception as exc:
+        return exc, exc
+    if not frobenius:
+        return hs, None
+    try:
+        return hs, frobenius_series(module)
+    except Exception as exc:
+        return hs, exc
+
+
+def summarise_all(wanted):
+    """{key: summarise(key, frobenius)} over wanted = {key: frobenius}.
+
+    The modules share no state, so with two or more CPUs they are built in
+    fork-started worker processes; every worker is joined before this
+    returns. Otherwise they are built here, one by one.
+    """
+    workers = _pool_size(len(wanted))
+    if workers >= 2:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = {
+                    key: pool.submit(summarise, key, frobenius)
+                    for key, frobenius in wanted.items()
+                }
+                try:
+                    return {key: future.result() for key, future in futures.items()}
+                finally:  # if a wait fails, build no module not yet started
+                    for future in futures.values():
+                        future.cancel()
+    return {key: summarise(key, frobenius) for key, frobenius in wanted.items()}
+
+
+def _record_modules(rec):
+    """(key, needs the Frobenius series) for each module a record reads."""
+    kind = rec["kind"]
+    mode = rec.get("mode", "orbit")
+    if kind == "frobenius":
+        for n in rec["n_values"]:
+            for ell in rec["ell_values"]:
+                yield (tuple(rec["generators"]), mode, n, ell), True
+    elif kind in ("hilbert", "h_positive"):
+        gens = list(rec["generators"])
+        if kind == "hilbert":
+            gens += rec.get("also_printed_generators", [])
+        for n in rec["n_values"]:
+            for ell in rec["ell_values"]:
+                for gen in gens:
+                    yield ((gen,), mode, n, ell), False
+
+
+def module_requests(records):
+    """{key: needs the Frobenius series} over the modules that records ask
+    for, in record order.
+
+    Collection stops at the first record it cannot read. The records are
+    then checked in order, so that record still raises its own error where
+    it stands, and a module asked for after it is summarised on request.
+    """
+    wanted = {}
+    try:
+        for rec in records:
+            for key, frobenius in _record_modules(rec):
+                wanted[key] = wanted.get(key, False) or frobenius
+    except Exception:
+        pass
+    return wanted
+
+
+class Session:
+    """Module summaries of one verify run, keyed by (generators, mode, n,
+    ell).
+
+    prefetch() summarises the modules the records will ask for, in
+    parallel where it can; a module not prefetched is summarised on its
+    first request. A stored exception is raised at every request for it,
+    so an error surfaces at the first record that needs the module.
     """
 
     def __init__(self):
-        self._hilbert = {}
+        self._summaries = {}
 
-    def module(self, generators, mode, n, ell):
-        """Build a module and remember its Hilbert series."""
-        r = ring(ell, n)
-        polys = parse_generator_args(generators, r)
-        family = GeneratorFamily(polys, mode=mode, text=generators)
-        module = polarization_module(family)
-        self._hilbert[(tuple(generators), mode, n, ell)] = hilbert_series(module)
-        return module
+    def prefetch(self, wanted):
+        self._summaries.update(summarise_all(wanted))
+
+    def _series(self, generators, mode, n, ell, frobenius):
+        key = (tuple(generators), mode, n, ell)
+        summary = self._summaries.get(key)
+        if summary is None or (frobenius and summary[1] is None):
+            summary = self._summaries[key] = summarise(key, frobenius)
+        value = summary[1 if frobenius else 0]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
     def hilbert(self, generators, mode, n, ell):
-        """Schur-basis Hilbert series, building the module on a miss."""
-        key = (tuple(generators), mode, n, ell)
-        if key not in self._hilbert:
-            self.module(generators, mode, n, ell)
-        return self._hilbert[key]
+        """Schur-basis Hilbert series of a module."""
+        return self._series(generators, mode, n, ell, False)
+
+    def frobenius(self, generators, mode, n, ell):
+        """Bigraded Frobenius series of a module."""
+        return self._series(generators, mode, n, ell, True)
 
 
 def _result(rec, where, status, detail=None):
@@ -159,7 +264,7 @@ def _check_frobenius(rec, session):
     mode = rec.get("mode", "orbit")
     for n in rec["n_values"]:
         for ell in rec["ell_values"]:
-            got = frobenius_series(session.module(rec["generators"], mode, n, ell))
+            got = session.frobenius(rec["generators"], mode, n, ell)
             want = realize_expected(rec["series"], n, ell)
             ok = got.coeffs == want.coeffs
             detail = None if ok else "engine: %s / expected: %s" % (got, want)
@@ -309,14 +414,33 @@ def run_record(rec, session):
     raise UsageError("unknown fixture kind %r in %s" % (kind, rec["id"]))
 
 
-def run_verify(selector_names):
-    files = resolve_selectors(selector_names)
-    session = Session()
-    results = []
+def _read_records(files):
+    """(records, error): the records of `files` in order, up to the first
+    file that fails to load, and that failure (None if every file loaded)."""
+    records = []
     for fname in files:
-        doc = json.loads(fixture_text(fname))
-        for rec in doc["records"]:
-            results.extend(run_record(rec, session))
+        try:
+            records.extend(json.loads(fixture_text(fname))["records"])
+        except Exception as exc:
+            return records, exc
+    return records, None
+
+
+def run_verify(selector_names):
+    """Check the records of the selected fixture files.
+
+    The modules the records read are summarised first, in parallel where
+    possible; the records are then checked in order against the
+    summaries, so results and errors come out as from one sequential pass.
+    """
+    records, load_error = _read_records(resolve_selectors(selector_names))
+    session = Session()
+    session.prefetch(module_requests(records))
+    results = []
+    for rec in records:
+        results.extend(run_record(rec, session))
+    if load_error is not None:
+        raise load_error
     passed = sum(1 for r in results if r["status"] == "ok")
     failed = sum(1 for r in results if r["status"] == "mismatch")
     reported = sum(1 for r in results if r["status"].startswith("report"))

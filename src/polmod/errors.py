@@ -33,6 +33,10 @@ class NonHomogeneous(PolmodError):
             % (self.deg_a, self.deg_b)
         )
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone
+        return type(self), (self.deg_a, self.deg_b)
+
 
 class ZeroPolynomial(PolmodError):
     """The zero polynomial has no multidegree."""

@@ -1,12 +1,15 @@
 """Unit tests for expression parsing, jobs, and the command entry point."""
 
 import json
+import multiprocessing
+import pickle
 from pathlib import Path
 
 import pytest
 
 from polmod import (
     FrobeniusSeries,
+    NonHomogeneous,
     QQ,
     SymSeries,
     UsageError,
@@ -31,7 +34,8 @@ from polmod.cli.runner import (
     basis_job,
     parse_point,
 )
-from polmod.cli import verify
+from polmod import errors
+from polmod.cli import runner, verify
 from polmod.cli.verify import resolve_selectors, run_verify
 
 
@@ -208,7 +212,17 @@ def test_resolve_selectors():
         resolve_selectors(["nope"])
 
 
-def test_session_builds_a_module_once_per_key(monkeypatch):
+def _fixture_override(monkeypatch, tmp_path, name, records):
+    (tmp_path / name).write_text(json.dumps({"records": records}))
+    monkeypatch.setenv(verify.ENV_FIXTURES, str(tmp_path))
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(verify, "_pool_size", lambda jobs: min(workers, jobs))
+
+
+def _count_builds(monkeypatch):
+    """The families of the modules this process builds from now on."""
     built = []
     real = verify.polarization_module
 
@@ -217,11 +231,100 @@ def test_session_builds_a_module_once_per_key(monkeypatch):
         return real(family)
 
     monkeypatch.setattr(verify, "polarization_module", counting)
+    return built
+
+
+# fast_1 of examples_fast.json: x[1,1]*x[2,2]*x[3,3], n=3, ell=3
+FAST_1 = json.loads(verify.fixture_text("examples_fast.json"))["records"][0]
+
+
+def test_session_builds_a_module_once_per_key(monkeypatch, tmp_path):
+    # frobenius, hilbert and h_positive records all read p[2] at n=3, ell=2
+    shared = {"generators": ["p[2]"], "n_values": [3], "ell_values": [2]}
+    records = [
+        dict(shared, id="a", kind="frobenius", tier="report", series=[]),
+        dict(shared, id="b", kind="hilbert", tier="report", basis="s", coeffs=[]),
+        dict(shared, id="c", kind="h_positive", tier="assert"),
+        dict(FAST_1, id="d"),
+    ]
+    _fixture_override(monkeypatch, tmp_path, "homog.json", records)
+    _use_workers(monkeypatch, 1)
+    built = _count_builds(monkeypatch)
+    doc, _ = run_verify(["homog"])
+    assert doc["checked"] == 4 and doc["passed"] == 2
+    assert [f.text for f in built] == [["p[2]"], FAST_1["generators"]]
+
+    # a module no record asked for is built on its first request only
+    del built[:]
     session = verify.Session()
     first = session.hilbert(["p[2]"], "orbit", 3, 2)
     second = session.hilbert(["p[2]"], "orbit", 3, 2)
     assert len(built) == 1
-    assert first == second == hilbert_series(real(built[0]))
+    assert first == second == hilbert_series(verify.polarization_module(built[0]))
+
+
+def test_pooled_and_inline_verify_agree(monkeypatch, capsys):
+    docs, outs = [], []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        built = _count_builds(monkeypatch)
+        docs.append(run_verify(["table:4"])[0])
+        # pooled modules are built in the workers, none in this process
+        assert bool(built) == (workers == 1)
+        assert main(["verify", "--set", "table:4", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+        assert multiprocessing.active_children() == []
+    assert docs[0] == docs[1] and docs[0]["passed"] == 31
+    assert outs[0] == outs[1]
+
+
+def test_verify_errors_arrive_in_record_order(monkeypatch, tmp_path, capsys):
+    records = [
+        FAST_1,
+        dict(FAST_1, id="bad", generators=["x[1,1] + x[1,1]^2"]),
+        dict(FAST_1, id="worse", generators=["p[2"]),
+        dict(FAST_1, id="after", n_values=[2]),
+    ]
+    # table:5's file is missing from the override, and that error comes last
+    _fixture_override(monkeypatch, tmp_path, "frobenius_deg4.json", records)
+    seen = []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        with pytest.raises(UsageError) as info:
+            run_verify(["table:4", "table:5"])
+        assert multiprocessing.active_children() == []
+        assert main(["verify", "--set", "table:4", "--set", "table:5"]) == 1
+        seen.append((type(info.value), str(info.value), capsys.readouterr()))
+        assert multiprocessing.active_children() == []
+    assert seen[0] == seen[1]
+    assert seen[0][1] == "generator x[1,1]^2 + x[1,1] is not homogeneous"
+    assert seen[0][2].out == ""
+
+
+@pytest.mark.parametrize(
+    "error, stderr",
+    [
+        (
+            NonHomogeneous((1, 0), (0, 1)),
+            "error: polynomial is not homogeneous: "
+            "found multidegrees (1, 0) and (0, 1)\n",
+        ),
+        (
+            MemoryError(),
+            "error: out of memory (the module is too large for this machine)\n",
+        ),
+    ],
+)
+def test_worker_errors_come_back_through_the_pool(monkeypatch, capsys, error, stderr):
+    def fail(family):
+        raise error
+
+    monkeypatch.setattr(verify, "polarization_module", fail)
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        assert main(["verify", "--set", "table:4"]) == 1
+        assert capsys.readouterr() == ("", stderr)
+        assert multiprocessing.active_children() == []
 
 
 def test_run_verify_fast_set():
@@ -274,6 +377,35 @@ def test_main_threads_flag_is_a_usage_error(capsys):
     )
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_main_reports_running_out_of_memory(monkeypatch, capsys):
+    def exhaust(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(runner, "frobenius_job", exhaust)
+    assert main(["frobenius", "--gen", "p[2]", "--n", "3"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: out of memory (the module is too large for this machine)\n",
+    )
+
+
+def test_errors_survive_pickling():
+    classes = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    assert len(classes) == 6
+    for cls in classes:
+        args = ((1, 0), (0, 1)) if cls is NonHomogeneous else ("a message",)
+        exc = cls(*args)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+    back = pickle.loads(pickle.dumps(NonHomogeneous([1, 0], [0, 1])))
+    assert (back.deg_a, back.deg_b) == ((1, 0), (0, 1))
 
 
 def test_main_classify_text(capsys):
