@@ -18,6 +18,20 @@ and basis rows go out divided by their pivot coefficient. Because every row's mo
 bounded by its own pivot, a single descending pass over the rows fully
 reduces a candidate.
 
+During the closure the rows are kept in echelon form only: an inserted row
+is not cleared from the earlier rows that hold its pivot. A candidate w is
+still reduced fully against the stored rows, so it comes out as a nonzero
+multiple of the unique vector of w + span that has no term at any pivot
+(the difference of two such vectors lies in the span and has no term at a
+pivot, but every nonzero vector of the span has its leading term at one).
+Neither the span nor its pivots depend on whether the rows are reduced, so
+every candidate, zero test and inserted primitive row is the same as with
+reduced rows. Once the worklist is empty, each component is reduced once,
+bottom-up (_back_substitute): every row is reduced against the already
+reduced rows below it, then divided by its content. GradedSpan.insert runs
+the same pass on the component it touches, so outside the closure every
+component is in reduced echelon form.
+
 The polarization module of generators F is the smallest space containing
 their orbit under the column action that is closed under every first
 partial d/dx[i,j] and every polarization
@@ -143,7 +157,8 @@ from .rationals import QQ
 
 
 class Component:
-    """Reduced echelon basis of one graded component, as primitive int rows."""
+    """Echelon basis of one graded component, as primitive int rows; reduced
+    except while the closure runs."""
 
     __slots__ = ("degree", "pivots", "leads", "rows")
 
@@ -277,7 +292,11 @@ class GradedSpan:
         if f.is_zero():
             return False
         d = f.multidegree()  # raises NonHomogeneous on bad input
-        return _insert_at(self.component(d), _integer_terms(f.terms)) is not None
+        comp = self.component(d)
+        if _insert_at(comp, _integer_terms(f.terms)) is None:
+            return False
+        _back_substitute(comp)
+        return True
 
     def member(self, f):
         """Exact span membership of a homogeneous Poly of the span's ring."""
@@ -484,11 +503,11 @@ def _close(span):
     """Worklist closure of a span under the operators of _operators.
 
     Pending rows are processed in increasing (|d|, d); every successful
-    insertion queues a snapshot of the reduced new row, with the skip mask
-    of the operator that created it. Later insertions may rewrite stored
-    rows (back-substitution), but each rewrite subtracts rows that are
-    themselves queued, so the processed snapshots still span the final space
-    and the closure argument (module docstring) goes through unchanged.
+    insertion queues the new row itself, with the skip mask of the operator
+    that created it. No stored row is edited until the worklist is empty, so
+    the queued rows are the stored rows, and they span the final space; the
+    closure argument (module docstring) goes through unchanged. Then every
+    component is brought to reduced form by _back_substitute.
     A transposition moves no coefficient, so its candidate is the source
     dict with its codes swapped in one comprehension, and it is dropped when
     it equals the source.
@@ -498,7 +517,7 @@ def _close(span):
     seq = 0
     for d in sorted(span.components, key=lambda d: (sum(d), d)):
         for row in span.components[d].rows:
-            heapq.heappush(heap, (sum(d), d, seq, dict(row), 0))
+            heapq.heappush(heap, (sum(d), d, seq, row, 0))
             seq += 1
 
     ops = {}
@@ -524,30 +543,25 @@ def _close(span):
             comp = span.component(dd)
             pos = _insert_at(comp, out)
             if pos is not None:
-                heapq.heappush(heap, (sum(dd), dd, seq, dict(comp.rows[pos]), skip))
+                heapq.heappush(heap, (sum(dd), dd, seq, comp.rows[pos], skip))
                 seq += 1
+    for comp in span.components.values():
+        _back_substitute(comp)
     return span
 
 
 def _insert_at(comp, w):
     """Component insert that reports the inserted row's position (or None).
 
-    w is an int dict; it is reduced, made primitive with a positive pivot
-    coefficient, and cleared from the pivot column of every earlier row.
+    w is an int dict; it is reduced against the stored rows and made
+    primitive with a positive pivot coefficient. No stored row is edited, so
+    the rows stay in echelon form but may hold the pivots of later rows.
     """
     w = comp.reduce(w)
     if not w:
         return None
     pivot = max(w)
     b = _make_primitive(w, pivot)
-    for idx in range(len(comp.pivots)):
-        if comp.pivots[idx] < pivot:
-            break
-        row = comp.rows[idx]
-        c = row.get(pivot)
-        if c:
-            _eliminate(row, w, b, c)
-            comp.leads[idx] = _make_primitive(row, comp.pivots[idx])
     lo, hi = 0, len(comp.pivots)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -559,6 +573,25 @@ def _insert_at(comp, w):
     comp.leads.insert(lo, b)
     comp.rows.insert(lo, w)
     return lo
+
+
+def _back_substitute(comp):
+    """Bring a component's echelon rows to reduced echelon form, in place.
+
+    Bottom-up, each row is reduced against the already reduced rows below
+    it, whose pivots it may hold, then divided by its content once.
+    """
+    pivots, leads, rows = comp.pivots, comp.leads, comp.rows
+    for idx in range(len(rows) - 2, -1, -1):
+        row = rows[idx]
+        edited = False
+        for k in range(idx + 1, len(rows)):
+            c = row.get(pivots[k])
+            if c:
+                _eliminate(row, rows[k], leads[k], c)
+                edited = True
+        if edited:
+            leads[idx] = _make_primitive(row, pivots[idx])
 
 
 def polarization_module(family):

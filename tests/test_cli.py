@@ -472,6 +472,8 @@ GOLDEN_JOBS = {
     "basis-x11cu-x12-x23-n4-ell2": [
         "basis", "--gen=x[1,1]^3*x[1,2]*x[2,3]", "--n", "4", "--ell", "2",
     ],
+    # ell=2 at n=5, where stored rows hold many pivots of later rows
+    "basis-s22-n5-ell2": ["basis", "--gen=s[2,2]", "--n", "5", "--ell", "2"],
     "hilbert-m32-n5-ell2": ["hilbert", "--gen=m[3,2]", "--n", "5", "--ell", "2"],
     "classify-m3-m21-n4-ell2": [
         "classify", "--gen=m[3] + m[2,1]", "--n", "4", "--ell", "2",

@@ -8,10 +8,12 @@ from polmod import (
     GeneratorFamily,
     GradedSpan,
     UsageError,
+    closure,
     expand_basis,
     polarization_module,
     ring,
 )
+from polmod.cli.main import main
 
 from conftest import random_nonzero_homogeneous, seeded
 
@@ -154,3 +156,35 @@ def test_polarization_module_needs_a_generator_family():
     span.insert(ring(1, 2).var(1, 1))
     with pytest.raises(TypeError):
         polarization_module(span)
+
+
+# Applications, insert attempts (generator inserts included) and insertions
+# of whole CLI jobs. Update them only when the operator set or the skip
+# rules change: how rows are stored or reduced must leave them as they are.
+CANDIDATE_COUNTS = [
+    (["frobenius", "--gen=vandermonde", "--n", "4", "--ell", "3"], (673, 684, 400)),
+    (["frobenius", "--gen=x[2,1]^2*x[3,2]", "--n", "4", "--ell", "3"], (736, 695, 307)),
+    (["basis", "--gen=s[2,2]", "--n", "5", "--ell", "2"], (131, 128, 91)),
+]
+
+
+@pytest.mark.parametrize("argv, counts", CANDIDATE_COUNTS)
+def test_closure_candidate_sequence_is_pinned(argv, counts, monkeypatch, capsys):
+    seen = [0, 0, 0]
+    apply_operator, insert_at = closure.apply_operator, closure._insert_at
+
+    def counted_apply(terms, op):
+        seen[0] += 1
+        return apply_operator(terms, op)
+
+    def counted_insert(comp, w):
+        seen[1] += 1
+        pos = insert_at(comp, w)
+        seen[2] += pos is not None
+        return pos
+
+    monkeypatch.setattr(closure, "apply_operator", counted_apply)
+    monkeypatch.setattr(closure, "_insert_at", counted_insert)
+    assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert tuple(seen) == counts

@@ -3,11 +3,12 @@
 Random small homogeneous families with rational coefficients, large coprime
 denominators included, are checked against an independent Gauss-Jordan
 elimination over fractions.Fraction and against the invariants the engine
-relies on: canonical reduced echelon form, independence of insertion order
-and scaling, closure under every derivative and polarization (the closure
-applies only some of them), closure idempotence, GL_ell stability of the
-dimensions, stability under the column transpositions of modules of
-non-symmetric families, and equivariance under row and column permutations.
+relies on: canonical reduced echelon form (after every insert, and in every
+component of a module), independence of insertion order and scaling,
+closure under every derivative and polarization (the closure applies only
+some of them), closure idempotence, GL_ell stability of the dimensions,
+stability under the column transpositions of modules of non-symmetric
+families, and equivariance under row and column permutations.
 """
 
 from fractions import Fraction
@@ -137,23 +138,42 @@ def test_component_basis_is_reduced_echelon(family):
 
 
 @PROPERTY_SETTINGS
-@given(families())
+@given(families(max_polys=8))
 def test_component_basis_matches_fraction_gauss_jordan(family):
+    # after every insert, not only the last
     r, degree, polys = family
-    basis = span_of(r, polys).component_basis(degree)
-    got = [{c: as_fraction(q) for c, q in f.terms.items()} for f in basis]
-    assert got == gauss_jordan(polys)
+    span = GradedSpan(r.ell, r.n)
+    for k, f in enumerate(polys, start=1):
+        span.insert(f)
+        got = [{c: as_fraction(q) for c, q in g.terms.items()} for g in span.component_basis(degree)]
+        assert got == gauss_jordan(polys[:k])
+
+
+def assert_canonical(comp):
+    """comp's rows are primitive int vectors in reduced echelon form."""
+    assert comp.pivots == sorted(set(comp.pivots), reverse=True)
+    for pivot, lead, row in zip(comp.pivots, comp.leads, comp.rows):
+        assert all(type(v) is int for v in row.values())
+        assert max(row) == pivot and row[pivot] == lead > 0
+        assert gcd(*row.values()) == 1
+        assert not any(p in row for p in comp.pivots if p != pivot)
 
 
 @PROPERTY_SETTINGS
 @given(families())
 def test_stored_rows_are_primitive_integer_vectors(family):
     r, degree, polys = family
-    comp = span_of(r, polys).components[degree]
-    for pivot, lead, row in zip(comp.pivots, comp.leads, comp.rows):
-        assert all(type(v) is int for v in row.values())
-        assert max(row) == pivot and row[pivot] == lead > 0
-        assert gcd(*row.values()) == 1
+    assert_canonical(span_of(r, polys).components[degree])
+
+
+@PROPERTY_SETTINGS
+@given(families(max_polys=2))
+def test_module_components_are_canonical(family):
+    # the closure keeps rows in echelon form and reduces them once at the end
+    r, degree, polys = family
+    module = polarization_module(GeneratorFamily(polys, mode="orbit"))
+    for comp in module.components.values():
+        assert_canonical(comp)
 
 
 @PROPERTY_SETTINGS
