@@ -3,11 +3,13 @@
 Every job function returns (doc, render): the JSON-ready dictionary and a
 zero-argument function that builds the human-readable rendering of the same
 result, so the text is only built when it is printed.
+
+The classification layer (polmod.exceptions) is imported inside the
+classify and exceptions jobs only, so module jobs do not load it.
 """
 
 from ..closure import GeneratorFamily, polarization_module
 from ..errors import UsageError
-from ..exceptions import classify, exception_equation, is_n_exception
 from ..frobenius import frobenius_series, hilbert_series, oracle_series
 from ..polyring import ring
 from ..rationals import QQ, rational_from_string, rational_to_json
@@ -164,6 +166,8 @@ def class_series(degree, coeffs, n, ell):
 
 
 def classify_job(gen_args, n, ell, full_mu=False):
+    from ..exceptions import classify, is_n_exception
+
     if len(gen_args) != 1:
         raise UsageError("classify takes exactly one --gen")
     degree, coeffs = extract_symmetric_coeffs(gen_args[0])
@@ -203,6 +207,8 @@ def classify_job(gen_args, n, ell, full_mu=False):
 # exception equation and point classification
 
 def equation_text(n):
+    from ..exceptions import exception_equation
+
     n1, n2, n3, n4 = exception_equation(n)
 
     def scaled(k, name):
@@ -224,6 +230,8 @@ def parse_point(text):
 
 
 def exceptions_job(n, point_args):
+    from ..exceptions import classify, is_n_exception
+
     if n < 3:
         raise UsageError(
             "the exceptions subcommand emits the table normal form, defined "

@@ -17,31 +17,10 @@ from ..frobenius import FrobeniusSeries, frobenius_series, hilbert_series
 from ..polyring import ring
 from ..rationals import QQ
 from ..symfunc import SymSeries, schur_to_h
+from . import SELECTOR_FILES
 from .expressions import parse_generator_args
 
 ENV_FIXTURES = "POLMOD_FIXTURES"
-
-SELECTOR_FILES = {
-    "table:4": ["frobenius_deg4.json"],
-    "table:5": ["frobenius_deg5.json"],
-    "homog": ["homog.json"],
-    "examples:fast": ["examples_fast.json"],
-    "exceptions": ["exceptions_table.json"],
-    "hilbert:4": ["hilbert_deg4.json"],
-    "hilbert:5": ["hilbert_deg5.json"],
-    "experiments": ["experiments.json"],
-}
-
-_ALL_ORDER = [
-    "examples:fast",
-    "exceptions",
-    "homog",
-    "table:4",
-    "table:5",
-    "hilbert:4",
-    "hilbert:5",
-    "experiments",
-]
 
 
 def fixture_text(name):
@@ -59,7 +38,7 @@ def resolve_selectors(names):
     files = []
     for name in names:
         if name == "all":
-            wanted = _ALL_ORDER
+            wanted = SELECTOR_FILES
         elif name in SELECTOR_FILES:
             wanted = [name]
         else:

@@ -21,7 +21,7 @@ permutations per cycle type live in CycleType.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
@@ -113,13 +113,13 @@ def schur_dimension(mu, nvars):
 # cycle types and characters
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """A conjugacy class of the symmetric group."""
+class CycleType(namedtuple("CycleType", "parts size representative")):
+    """A conjugacy class of the symmetric group.
 
-    parts: tuple
-    size: int
-    representative: tuple  # image tuple of a canonical permutation
+    representative is the image tuple of a canonical permutation.
+    """
+
+    __slots__ = ()
 
     @property
     def n(self):

@@ -205,8 +205,16 @@ def test_parse_point_accepts_rationals():
 
 
 def test_resolve_selectors():
-    names = resolve_selectors(["all"])
-    assert len(names) >= 8
+    assert resolve_selectors(["all"]) == [
+        "examples_fast.json",
+        "exceptions_table.json",
+        "homog.json",
+        "frobenius_deg4.json",
+        "frobenius_deg5.json",
+        "hilbert_deg4.json",
+        "hilbert_deg5.json",
+        "experiments.json",
+    ]
     assert resolve_selectors(["homog"]) == ["homog.json"]
     with pytest.raises(UsageError):
         resolve_selectors(["nope"])

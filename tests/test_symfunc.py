@@ -7,6 +7,7 @@ import pytest
 
 from polmod import GradedSpan, NotSymmetric, QQ, expand_basis, hilbert_series, ring
 from polmod.symfunc import (
+    CycleType,
     SymSeries,
     character_table,
     conjugate,
@@ -91,11 +92,38 @@ def test_character_values_for_small_groups():
             assert mn_character(lam, (1,) * n) == syt_count(lam)
 
 
+def _cycle_lengths(images):
+    """Cycle lengths, largest first, of a 1-based image tuple."""
+    seen, lengths = set(), []
+    for start in range(1, len(images) + 1):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = images[j - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_character_table_row_orthogonality(n):
     table = character_table(n)
     classes = cycle_types(n)
     order = math.factorial(n)
+    # the classes themselves: fields, hashing, immutability
+    assert [ct.parts for ct in classes] == list(partitions_of(n))
+    assert sum(ct.size for ct in classes) == order
+    for ct in classes:
+        assert ct.n == n
+        assert sorted(ct.representative) == list(range(1, n + 1))
+        assert _cycle_lengths(ct.representative) == ct.parts
+        assert ct == CycleType(ct.parts, ct.size, ct.representative)
+        assert hash(ct) == hash(CycleType(ct.parts, ct.size, ct.representative))
+        for field in ("parts", "size", "representative", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ct, field, None)
+    assert len(set(classes)) == len(classes)
     lams = list(partitions_of(n))
     for lam in lams:
         for mu in lams:
