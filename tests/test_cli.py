@@ -480,6 +480,14 @@ GOLDEN_JOBS = {
     "basis-x11cu-x12-x23-n4-ell2": [
         "basis", "--gen=x[1,1]^3*x[1,2]*x[2,3]", "--n", "4", "--ell", "2",
     ],
+    # orbits that two unsound transposition skips would shrink: skipping
+    # (j j+1) on every row made by (i i+1), i >= j + 2 (27 -> 21, 716 -> 405),
+    # and every later transposition on each generator row that (1 2) fixes
+    # (27 -> 8, 716 -> 173)
+    "basis-x11-x12-n4-ell2": ["basis", "--gen=x[1,1]*x[1,2]", "--n", "4", "--ell", "2"],
+    "frobenius-x11sq-x12sq-x13-n5-ell2": [
+        "frobenius", "--gen=x[1,1]^2*x[1,2]^2*x[1,3]", "--n", "5", "--ell", "2",
+    ],
     # ell=2 at n=5, where stored rows hold many pivots of later rows
     "basis-s22-n5-ell2": ["basis", "--gen=s[2,2]", "--n", "5", "--ell", "2"],
     "hilbert-m32-n5-ell2": ["hilbert", "--gen=m[3,2]", "--n", "5", "--ell", "2"],
