@@ -3,6 +3,7 @@
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from ..errors import ConsistencyError, PolmodError, UsageError
 from . import SELECTOR_FILES, runner
@@ -42,7 +43,11 @@ def _add_output_flags(sub):
     )
 
 
+@lru_cache(maxsize=None)
 def make_parser():
+    """The command's parser, built once per process: main() may run many
+    times in one process (tests, the benchmark), and each parser is a web of
+    reference cycles that only a full garbage collection frees."""
     parser = _ArgumentParser(
         prog="polmod",
         description=(

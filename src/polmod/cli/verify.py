@@ -4,15 +4,18 @@ Records live in JSON files under polmod/fixtures (overridable with the
 POLMOD_FIXTURES environment variable, which names a directory with the
 same file names). Records carry a tier: 'assert' records fail the run on
 any mismatch, 'report' records only describe what the engine found.
+
+The classification layer (polmod.exceptions) is imported inside the
+checks that read it, so the module tables do not load it.
 """
 
 import json
 import os
+import pickle
 from importlib import resources
 
 from ..closure import GeneratorFamily, polarization_module
 from ..errors import UsageError
-from ..exceptions import exception_equation, is_n_exception, partials_span_dimension
 from ..frobenius import FrobeniusSeries, frobenius_series, hilbert_series
 from ..polyring import ring
 from ..rationals import QQ
@@ -125,31 +128,117 @@ def summarise(key, frobenius):
 
 
 def summarise_all(wanted):
-    """{key: summarise(key, frobenius)} over wanted = {key: frobenius}.
+    """{key: summarise(key, frobenius)} over wanted = {key: frobenius}, in
+    key order.
 
     The modules share no state, so with two or more CPUs they are built in
-    fork-started worker processes; every worker is joined before this
-    returns. Otherwise they are built here, one by one.
+    forked worker processes (_pool_summaries); a key no worker returned is
+    summarised here, in key order, as is every key when this process may
+    use one CPU only or the platform has no fork.
     """
-    workers = _pool_size(len(wanted))
-    if workers >= 2:
-        import multiprocessing
+    items = list(wanted.items())
+    workers = _pool_size(len(items))
+    done = {}
+    if workers >= 2 and hasattr(os, "fork"):
+        done = _pool_summaries(items, workers)
+    return {
+        key: done[i] if i in done else summarise(key, frobenius)
+        for i, (key, frobenius) in enumerate(items)
+    }
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
 
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = {
-                    key: pool.submit(summarise, key, frobenius)
-                    for key, frobenius in wanted.items()
-                }
+_RECORD = 4  # bytes per task record: a key index, big-endian
+# POSIX makes a pipe write of up to 512 bytes atomic (all or, when it would
+# block, nothing), so whole records go in and a reader meets no partial one
+_CHUNK = 512
+
+
+def _pool_summaries(items, workers):
+    """{index: summary} over the items that `workers` forked processes
+    summarised and returned.
+
+    Every item index goes into one task pipe before the first fork, and
+    each worker reads one record at a time until EOF, so a worker that
+    finishes early takes more. A worker then writes one pickled
+    [(index, summary)] list to its own result pipe and leaves by os._exit,
+    with status 1 if anything but summarise failed. This process builds
+    nothing meanwhile: it reads every result pipe to EOF and reaps every
+    worker, on an exception too, after taking back the records no worker
+    has read. The list of a worker that died, exited nonzero or left a
+    truncated pickle is dropped.
+    """
+    tasks, queue = os.pipe()
+    os.set_blocking(queue, False)
+    records = b"".join(i.to_bytes(_RECORD, "big") for i in range(len(items)))
+    try:
+        for start in range(0, len(records), _CHUNK):
+            os.write(queue, records[start : start + _CHUNK])
+    except BlockingIOError:
+        pass  # the pipe is full; the items not queued are summarised inline
+    finally:
+        os.close(queue)
+    running = []  # (pid, result pipe) of each worker not yet reaped
+    done = {}
+    try:
+        for _ in range(workers):
+            results, out = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(results)
+                os.close(out)
+                raise
+            if pid == 0:
+                _work(items, tasks, out)
+            os.close(out)
+            running.append((pid, results))
+        while running:
+            pid, results = running[0]
+            data = _read_to_eof(results)
+            os.close(results)
+            running.pop(0)
+            if os.waitpid(pid, 0)[1] == 0:
                 try:
-                    return {key: future.result() for key, future in futures.items()}
-                finally:  # if a wait fails, build no module not yet started
-                    for future in futures.values():
-                        future.cancel()
-    return {key: summarise(key, frobenius) for key, frobenius in wanted.items()}
+                    done.update(pickle.loads(data))
+                except Exception:  # a truncated or unreadable list
+                    pass
+    finally:
+        _read_to_eof(tasks)
+        os.close(tasks)
+        for pid, results in running:
+            _read_to_eof(results)
+            os.close(results)
+            os.waitpid(pid, 0)
+    return done
+
+
+def _work(items, tasks, out):
+    """A worker's whole life: summarise the items whose records it reads
+    from `tasks`, write them to `out`, and exit; it never returns."""
+    status = 1
+    try:
+        done = []
+        while True:
+            record = os.read(tasks, _RECORD)
+            if not record:
+                break
+            i = int.from_bytes(record, "big")
+            done.append((i, summarise(*items[i])))
+        data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(out, data) :]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_to_eof(fd):
+    chunks = []
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
 
 
 def _record_modules(rec):
@@ -299,6 +388,8 @@ def _check_hilbert(rec, session):
 
 
 def _check_equation(rec):
+    from ..exceptions import exception_equation
+
     got = exception_equation(rec["n"])
     want = tuple(rec["normal_form"])
     ok = got == want
@@ -307,6 +398,8 @@ def _check_equation(rec):
 
 
 def _check_point(rec):
+    from ..exceptions import is_n_exception
+
     results = []
     a, b, c = (QQ(str(v)) for v in rec["abc"])
     for n in rec["n_values"]:
@@ -318,6 +411,8 @@ def _check_point(rec):
 
 
 def _check_span_dim(rec):
+    from ..exceptions import partials_span_dimension
+
     results = []
     for n in rec["n_values"]:
         r = ring(1, n)
@@ -332,6 +427,8 @@ def _check_span_dim(rec):
 
 
 def _check_p2_shift(rec):
+    from ..exceptions import partials_span_dimension
+
     results = []
     n = rec["n_values"][0]
     r = ring(1, n)

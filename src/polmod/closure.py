@@ -182,7 +182,7 @@ from __future__ import annotations
 import heapq
 from math import gcd, lcm
 
-from .errors import UsageError
+from .errors import NonHomogeneous, UsageError
 from .polyring import EXP_BITS, Poly, apply_operator, ring, terms_text
 from .rationals import QQ
 
@@ -322,9 +322,13 @@ class GradedSpan:
         f._check_same_ring(self)
         if f.is_zero():
             return False
-        d = f.multidegree()  # raises NonHomogeneous on bad input
+        # raises NonHomogeneous on bad input
+        return self._insert(f.multidegree(), f.terms)
+
+    def _insert(self, d, terms):
+        """insert() of the nonzero terms of a polynomial of multidegree d."""
         comp = self.component(d)
-        if _insert_at(comp, _integer_terms(f.terms)) is None:
+        if _insert_at(comp, _integer_terms(terms)) is None:
             return False
         _back_substitute(comp)
         return True
@@ -408,7 +412,7 @@ class GradedSpan:
 
 class GeneratorFamily:
     """A family of homogeneous generators; polys holds the given nonzero
-    polynomials.
+    polynomials and degrees their multidegrees.
 
     mode 'orbit': the family stands for the symmetric-group orbit of the
     given polynomials, which the closure builds with its column
@@ -422,16 +426,22 @@ class GeneratorFamily:
         if not polys:
             raise UsageError("empty generator family")
         self.ring = polys[0].ring
+        self.polys = []
+        self.degrees = []
         for f in polys:
             if f.ring is not self.ring:
                 raise UsageError("generators live in different rings")
-            if not f.is_homogeneous():
-                raise UsageError("generator %s is not homogeneous" % f)
+            if f.is_zero():
+                continue
+            try:
+                self.degrees.append(f.multidegree())
+            except NonHomogeneous:
+                raise UsageError("generator %s is not homogeneous" % f) from None
+            self.polys.append(f)
         self.mode = mode
         self.text = list(text or [])
-        self.polys = [f for f in polys if not f.is_zero()]
         if mode == "verbatim":
-            _check_span_stable(self.polys, self.ring)
+            _check_span_stable(self)
         elif mode != "orbit":
             raise UsageError("unknown family mode %r" % mode)
 
@@ -439,14 +449,13 @@ class GeneratorFamily:
         return not self.polys
 
 
-def _check_span_stable(polys, r):
-    if not polys:
-        return
+def _check_span_stable(family):
+    r = family.ring
     span = GradedSpan(r.ell, r.n)
-    for f in polys:
-        span.insert(f)
+    for f, d in zip(family.polys, family.degrees):
+        span._insert(d, f.terms)
     for tau in r.transpositions:
-        for f in polys:
+        for f in family.polys:
             if not span.member(f.permute(tau)):
                 raise UsageError(
                     "family is not stable under the column action "
@@ -663,6 +672,6 @@ def polarization_module(family):
         raise TypeError("expected a GeneratorFamily")
     r = family.ring
     span = GradedSpan(r.ell, r.n, family.text)
-    for f in family.polys:
-        span.insert(f)
+    for f, d in zip(family.polys, family.degrees):
+        span._insert(d, f.terms)
     return _close(span)

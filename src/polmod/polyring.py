@@ -86,6 +86,10 @@ class PolyRing:
         )
         self._operators = {}  # ("d", i, j, p) or ("E", i, k, p) -> Operator
         self._row_mask = (1 << n * EXP_BITS) - 1
+        # code_multidegree: the multiplier sum_j 2^(5j), j < n, and the shift
+        # of each row's top cell x[i,1]
+        self._row_sums = sum(1 << j * EXP_BITS for j in range(n))
+        self._row_tops = tuple(self.shifts[i * n] for i in range(ell))
         # per variable row, top row first: (block shift, {block: text})
         self._row_texts = tuple(
             (self.shifts[i * n + n - 1], {}) for i in range(ell)
@@ -125,13 +129,15 @@ class PolyRing:
         return t
 
     def code_multidegree(self, code):
-        """Row sums (d_1, ..., d_ell) of a packed monomial."""
-        row = [0] * self.ell
-        for i in range(self.ell - 1, -1, -1):
-            for _ in range(self.n):
-                row[i] += code & EXP_MASK
-                code >>= EXP_BITS
-        return tuple(row)
+        """Row sums (d_1, ..., d_ell) of a packed monomial.
+
+        Times sum_j 2^(5j), j < n, each cell of the code holds the sum of
+        itself and the n - 1 cells below it, so each row block's top cell
+        holds the row sum. No such sum exceeds the total degree, and the cap
+        of 30 keeps it below 32, so no cell carries into the next.
+        """
+        code *= self._row_sums
+        return tuple((code >> s) & EXP_MASK for s in self._row_tops)
 
     def permute_code(self, code, sigma):
         """Relabel columns by a compiled Permutation: shift each displacement

@@ -215,37 +215,36 @@ def _row_monomial(r, row, exps_by_col, coeff=1):
     return r.monomial({(row, j): a for j, a in exps_by_col.items() if a}, coeff)
 
 
+def _row_sum(r, row, exponent_maps):
+    """The sum of the distinct monomials of row `row`, one per
+    {column: exponent} map, built in one dict."""
+    terms = {}
+    for exps in exponent_maps:
+        terms.update(_row_monomial(r, row, exps).terms)
+    return Poly(r, terms)
+
+
 def power_sum_poly(k, row, n, ell=None):
     r = ring(ell or row, n)
-    out = r.zero()
-    for j in range(1, n + 1):
-        out = out + _row_monomial(r, row, {j: k})
-    return out
+    if k == 0:
+        return r.const(n)
+    return _row_sum(r, row, ({j: k} for j in range(1, n + 1)))
 
 
 def elementary_poly(k, row, n, ell=None):
     r = ring(ell or row, n)
     if k == 0:
         return r.one()
-    if k > n:
-        return r.zero()
-    out = r.zero()
-    for cols in combinations(range(1, n + 1), k):
-        out = out + _row_monomial(r, row, {j: 1 for j in cols})
-    return out
+    cols = combinations(range(1, n + 1), k)
+    return _row_sum(r, row, (dict.fromkeys(c, 1) for c in cols))
 
 
 def homogeneous_poly(k, row, n, ell=None):
     r = ring(ell or row, n)
     if k == 0:
         return r.one()
-    out = r.zero()
-    for cols in combinations_with_replacement(range(1, n + 1), k):
-        exps = {}
-        for j in cols:
-            exps[j] = exps.get(j, 0) + 1
-        out = out + _row_monomial(r, row, exps)
-    return out
+    cols = combinations_with_replacement(range(1, n + 1), k)
+    return _row_sum(r, row, ({j: c.count(j) for j in c} for c in cols))
 
 
 def monomial_poly(lam, row, n, ell=None):
@@ -257,11 +256,8 @@ def monomial_poly(lam, row, n, ell=None):
     # each monomial is a set of len(lam) columns times a distinct ordering
     # of the parts on them
     arrangements = set(permutations(lam))
-    terms = {}
-    for cols in combinations(range(1, n + 1), len(lam)):
-        for arrangement in arrangements:
-            terms.update(_row_monomial(r, row, dict(zip(cols, arrangement))).terms)
-    return Poly(r, terms)
+    cols = combinations(range(1, n + 1), len(lam))
+    return _row_sum(r, row, (dict(zip(c, a)) for c in cols for a in arrangements))
 
 
 @lru_cache(maxsize=None)

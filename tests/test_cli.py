@@ -1,8 +1,9 @@
 """Unit tests for expression parsing, jobs, and the command entry point."""
 
 import json
-import multiprocessing
+import os
 import pickle
+import signal
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,26 @@ def _fixture_override(monkeypatch, tmp_path, name, records):
     monkeypatch.setenv(verify.ENV_FIXTURES, str(tmp_path))
 
 
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose workers never finish."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the worker pool did not finish in 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _use_workers(monkeypatch, workers):
     monkeypatch.setattr(verify, "_pool_size", lambda jobs: min(workers, jobs))
 
@@ -271,6 +292,7 @@ def test_session_builds_a_module_once_per_key(monkeypatch, tmp_path):
     assert first == second == hilbert_series(verify.polarization_module(built[0]))
 
 
+@pytest.mark.usefixtures("deadline")
 def test_pooled_and_inline_verify_agree(monkeypatch, capsys):
     docs, outs = [], []
     for workers in (1, 2):
@@ -281,11 +303,12 @@ def test_pooled_and_inline_verify_agree(monkeypatch, capsys):
         assert bool(built) == (workers == 1)
         assert main(["verify", "--set", "table:4", "--format", "json"]) == 0
         outs.append(capsys.readouterr().out)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert docs[0] == docs[1] and docs[0]["passed"] == 31
     assert outs[0] == outs[1]
 
 
+@pytest.mark.usefixtures("deadline")
 def test_verify_errors_arrive_in_record_order(monkeypatch, tmp_path, capsys):
     records = [
         FAST_1,
@@ -300,10 +323,10 @@ def test_verify_errors_arrive_in_record_order(monkeypatch, tmp_path, capsys):
         _use_workers(monkeypatch, workers)
         with pytest.raises(UsageError) as info:
             run_verify(["table:4", "table:5"])
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert main(["verify", "--set", "table:4", "--set", "table:5"]) == 1
         seen.append((type(info.value), str(info.value), capsys.readouterr()))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert seen[0] == seen[1]
     assert seen[0][1] == "generator x[1,1]^2 + x[1,1] is not homogeneous"
     assert seen[0][2].out == ""
@@ -323,6 +346,7 @@ def test_verify_errors_arrive_in_record_order(monkeypatch, tmp_path, capsys):
         ),
     ],
 )
+@pytest.mark.usefixtures("deadline")
 def test_worker_errors_come_back_through_the_pool(monkeypatch, capsys, error, stderr):
     def fail(family):
         raise error
@@ -332,7 +356,64 @@ def test_worker_errors_come_back_through_the_pool(monkeypatch, capsys, error, st
         _use_workers(monkeypatch, workers)
         assert main(["verify", "--set", "table:4"]) == 1
         assert capsys.readouterr() == ("", stderr)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_pool_returns_every_item_whole(monkeypatch):
+    # 300 task records fill more than one atomic write, and each worker's
+    # list is far larger than a pipe buffer
+    def summarise(key, frobenius):
+        return key * 2000, frobenius
+
+    monkeypatch.setattr(verify, "summarise", summarise)
+    items = [(str(i), i % 3 == 0) for i in range(300)]
+    assert verify._pool_summaries(items, 2) == {
+        i: summarise(*item) for i, item in enumerate(items)
+    }
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_a_dead_workers_keys_are_summarised_inline(monkeypatch):
+    _use_workers(monkeypatch, 1)
+    inline = run_verify(["table:4"])[0]
+    records, _ = verify._read_records(resolve_selectors(["table:4"]))
+    victim = list(verify.module_requests(records))[5]
+    parent = os.getpid()
+    real = verify.summarise
+
+    def die_on_victim(key, frobenius):
+        if key == victim and os.getpid() != parent:
+            os._exit(3)
+        return real(key, frobenius)
+
+    monkeypatch.setattr(verify, "summarise", die_on_victim)
+    _use_workers(monkeypatch, 2)
+    built = _count_builds(monkeypatch)
+    assert run_verify(["table:4"])[0] == inline
+    # the dead worker's keys, the victim among them, were built here
+    assert list(victim[0]) in [f.text for f in built]
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+def test_an_error_in_the_parent_leaves_no_child(monkeypatch):
+    real = verify._read_to_eof
+    failed = []
+
+    def fail_once(fd):
+        if not failed:
+            failed.append(fd)
+            raise RuntimeError("interrupted while workers run")
+        return real(fd)
+
+    monkeypatch.setattr(verify, "_read_to_eof", fail_once)
+    _use_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_verify(["table:4"])
+    assert failed
+    assert_no_child_left()
 
 
 def test_run_verify_fast_set():

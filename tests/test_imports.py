@@ -69,6 +69,25 @@ def test_module_jobs_load_no_classification_or_verify_code():
     assert doc["lazy_jobs"] == [0, 0, 0]
 
 
+TABLE_RUN = """
+import json
+from polmod.cli.main import main
+
+code = main(["verify", "--set", "table:4", "--format", "json"])
+print()
+print(json.dumps({
+    "code": code,
+    "loaded": [name for name in ("polmod.exceptions", "multiprocessing", "concurrent.futures") if name in sys.modules],
+}))
+"""
+
+
+def test_a_table_run_loads_no_classification_or_multiprocessing_code():
+    # the parallel build forks its own workers, and no table record reads
+    # the classification layer
+    assert fresh(TABLE_RUN) == {"code": 0, "loaded": []}
+
+
 PUBLIC_NAMES = """
 import json
 import polmod

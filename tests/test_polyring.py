@@ -3,6 +3,7 @@
 from math import perm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polmod import QQ, ring
 from polmod.polyring import MAX_TOTAL_DEGREE, Permutation, PolyRing, apply_operator
@@ -29,6 +30,38 @@ def test_pack_unpack_roundtrip():
         for i in range(1, r.ell + 1):
             for j in range(1, r.n + 1):
                 assert r.exponent(code, i, j) == exps[r.cell(i, j)]
+
+
+@st.composite
+def capped_codes(draw):
+    """(ring, code) of a monomial of total degree up to the cap, given as
+    the cells its units fall in."""
+    r = ring(draw(st.integers(1, 4)), draw(st.integers(1, 10)))
+    cells = draw(st.lists(st.integers(0, r.ncells - 1), max_size=MAX_TOTAL_DEGREE))
+    exps = [0] * r.ncells
+    for idx in cells:
+        exps[idx] += 1
+    return r, r.pack(exps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(capped_codes())
+def test_code_multidegree_matches_unpacked_row_sums(ring_and_code):
+    r, code = ring_and_code
+    exps = r.unpack(code)
+    want = tuple(sum(exps[i * r.n : (i + 1) * r.n]) for i in range(r.ell))
+    assert r.code_multidegree(code) == want
+
+
+def test_code_multidegree_at_the_cap():
+    for ell, n in ((1, 1), (3, 5), (4, 10)):
+        r = ring(ell, n)
+        for idx in (0, r.ncells // 2, r.ncells - 1):
+            exps = [0] * r.ncells
+            exps[idx] = MAX_TOTAL_DEGREE
+            want = [0] * ell
+            want[idx // n] = MAX_TOTAL_DEGREE
+            assert r.code_multidegree(r.pack(exps)) == tuple(want)
 
 
 def test_monomial_dict_and_flat_agree():

@@ -13,13 +13,16 @@ from polmod.symfunc import (
     conjugate,
     cycle_types,
     diag_power_sum,
+    elementary_poly,
     h_to_schur,
+    homogeneous_poly,
     is_partition,
     jacobi_trudi_h,
     kostka,
     mn_character,
     multi_elementary,
     partitions_of,
+    power_sum_poly,
     schur_coefficients,
     schur_dimension,
     schur_to_h,
@@ -295,6 +298,28 @@ def test_schur_h_transitions_are_inverse():
         series = SymSeries("schur", coeffs)
         back = h_to_schur(schur_to_h(series))
         assert back.coeffs == series.coeffs
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 10])
+def test_e_h_p_have_one_unit_term_per_monomial(n):
+    # e_k: the C(n, k) squarefree monomials of degree k in the row; h_k: all
+    # C(n + k - 1, k) of them; p_k: the n k-th powers of one variable
+    for row, ell in ((1, 1), (2, 3)):
+        r = ring(ell, n)
+        for k in range(1, 6):
+            for poly, count, shape in (
+                (elementary_poly(k, row, n, ell), math.comb(n, k), lambda c: max(c) == 1),
+                (homogeneous_poly(k, row, n, ell), math.comb(n + k - 1, k), lambda c: True),
+                (power_sum_poly(k, row, n, ell), n, lambda c: max(c) == k),
+            ):
+                assert poly.ring is r
+                assert len(poly.terms) == count
+                assert all(q == 1 for q in poly.terms.values())
+                for code in poly.terms:
+                    exps = r.unpack(code)
+                    cells = exps[(row - 1) * n : row * n]
+                    assert sum(cells) == sum(exps) == k
+                    assert shape(cells)
 
 
 def test_diag_power_sum_matches_direct_expansion():
