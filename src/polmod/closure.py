@@ -6,17 +6,18 @@ contains another row's pivot. Reduced echelon form is canonical for a
 subspace under a fixed monomial order, so the final bases do not depend on
 insertion order — determinism comes for free.
 
-Rows are stored as primitive integer vectors, plain {packed monomial code:
-int} dicts with content 1 and a positive pivot coefficient, sorted by
-decreasing pivot. Such a row is the unique primitive integer multiple of the
-rational echelon row with pivot coefficient 1, so rows still compare
-directly. Every operator coefficient is an integer falling factorial, so the
-closure eliminates fraction-free (w := (a/g) w - (c/g) row with
-g = gcd(a, c)) and divides each stored row by its content, and rationals
-appear only at the boundary: denominators are cleared when a Poly comes in
-and basis rows go out divided by their pivot coefficient. Because every row's monomials are
-bounded by its own pivot, a single descending pass over the rows fully
-reduces a candidate.
+Each component is a Component, the only code that knows how its rows are
+stored: primitive integer vectors, plain {packed monomial code: int} dicts
+with content 1 and a positive pivot coefficient, sorted by decreasing pivot.
+Such a row is the unique primitive integer multiple of the rational echelon
+row with pivot coefficient 1, so rows still compare directly. Every operator
+coefficient is an integer falling factorial, so the closure eliminates
+fraction-free (w := (a/g) w - (c/g) row with g = gcd(a, c)) and divides each
+stored row by its content, and rationals appear only at the boundary:
+denominators are cleared when a Poly comes in, and basis rows
+(Component.basis_terms) and traces (Component.trace) go out divided by their
+pivot coefficient. Because every row's monomials are bounded by its own
+pivot, a single descending pass over the rows fully reduces a candidate.
 
 During the closure the rows are kept in echelon form only: an inserted row
 is not cleared from the earlier rows that hold its pivot. A candidate w is
@@ -27,10 +28,10 @@ pivot, but every nonzero vector of the span has its leading term at one).
 Neither the span nor its pivots depend on whether the rows are reduced, so
 every candidate, zero test and inserted primitive row is the same as with
 reduced rows. Once the worklist is empty, each component is reduced once,
-bottom-up (_back_substitute): every row is reduced against the already
-reduced rows below it, then divided by its content. GradedSpan.insert runs
-the same pass on the component it touches, so outside the closure every
-component is in reduced echelon form.
+bottom-up (Component.back_substitute): every row is reduced against the
+already reduced rows below it, then divided by its content. GradedSpan.insert
+runs the same pass on the component it inserts into, so outside the closure
+every component is in reduced echelon form.
 
 The polarization module of generators F is the smallest space containing
 their orbit under the column action that is closed under every first
@@ -180,41 +181,98 @@ of 27.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from math import gcd, lcm
+from operator import neg
 
 from .errors import NonHomogeneous, UsageError
-from .polyring import EXP_BITS, Poly, apply_operator, ring, terms_text
+from .polyring import EXP_BITS, Permutation, Poly, apply_operator, ring, terms_text
 from .rationals import QQ
 
 
 class Component:
-    """Echelon basis of one graded component, as primitive int rows; reduced
-    except while the closure runs."""
+    """Echelon basis of one graded component; the only code that knows how
+    its rows are stored.
 
-    __slots__ = ("degree", "pivots", "leads", "rows")
+    Each row is a primitive integer vector, a {packed monomial code: int}
+    dict with content 1 and a positive coefficient at its pivot, its
+    greatest code; pivots holds the pivots in decreasing order and rows the
+    rows, in the same order. The rows are in reduced echelon form (no row
+    holds another row's pivot) except while the closure runs, when insert
+    leaves the earlier rows as they are and back_substitute reduces them at
+    the end.
+    """
+
+    __slots__ = ("degree", "pivots", "rows")
 
     def __init__(self, degree):
         self.degree = tuple(degree)
-        self.pivots = []  # descending packed codes
-        self.leads = []  # parallel list of pivot coefficients (positive ints)
-        self.rows = []  # parallel list of {code: int}, content 1
+        self.pivots = []
+        self.rows = []
 
     @property
     def dimension(self):
         return len(self.rows)
 
-    def pivot_sum(self, codes):
-        """Sum over the rows of each row's coefficient at its code in codes
-        (an iterable, one code per row), the row scaled to pivot 1, as
-        (numerator, denominator) integers.
+    def reduce(self, w):
+        """Fully reduce int dict w against the basis, in place; returns w.
+
+        The result is a nonzero integer multiple of the rational reduction.
+        """
+        for pivot, row in zip(self.pivots, self.rows):
+            c = w.get(pivot)
+            if c:
+                _eliminate(w, row, pivot, c)
+        return w
+
+    def insert(self, w):
+        """Reduce int dict w and store it as a primitive row; returns the
+        stored row, or None when w reduces to zero.
+
+        No stored row is edited, so the rows stay in echelon form but may
+        hold the pivots of later rows.
+        """
+        w = self.reduce(w)
+        if not w:
+            return None
+        pivot = max(w)
+        _make_primitive(w, pivot)
+        pos = bisect_left(self.pivots, -pivot, key=neg)
+        self.pivots.insert(pos, pivot)
+        self.rows.insert(pos, w)
+        return w
+
+    def back_substitute(self):
+        """Bring the echelon rows to reduced echelon form, in place.
+
+        Bottom-up, each row is reduced against the already reduced rows below
+        it, whose pivots it may hold, then divided by its content once.
+        """
+        pivots, rows = self.pivots, self.rows
+        for idx in range(len(rows) - 2, -1, -1):
+            row = rows[idx]
+            edited = False
+            for k in range(idx + 1, len(rows)):
+                c = row.get(pivots[k])
+                if c:
+                    _eliminate(row, rows[k], pivots[k], c)
+                    edited = True
+            if edited:
+                _make_primitive(row, pivots[idx])
+
+    def trace(self, move):
+        """Sum over the rows of each row's coefficient at move(pivot), the
+        row scaled to pivot coefficient 1, as (numerator, denominator)
+        integers.
 
         The numerators are summed over the lcm of the pivot coefficients of
         the rows that contribute, so no rational is built.
         """
         total, den = 0, 1
-        for code, lead, row in zip(codes, self.leads, self.rows):
-            v = row.get(code)
+        for pivot, row in zip(self.pivots, self.rows):
+            v = row.get(move(pivot))
             if v:
+                lead = row[pivot]
                 if den % lead:
                     g = lcm(den, lead)
                     total *= g // den
@@ -222,25 +280,31 @@ class Component:
                 total += v * (den // lead)
         return total, den
 
-    def reduce(self, w):
-        """Fully reduce int dict w against the basis, in place; returns w.
-
-        The result is a nonzero integer multiple of the rational reduction.
+    def basis_terms(self):
+        """Per row, by decreasing pivot, an iterator of the row's terms
+        scaled to pivot coefficient 1: (code, numerator, denominator)
+        integer triples in decreasing code order, each fraction reduced.
+        Terms are made as they are read; no row is copied into a list.
         """
-        pivots = self.pivots
-        for idx in range(len(pivots)):
-            c = w.get(pivots[idx])
-            if c:
-                _eliminate(w, self.rows[idx], self.leads[idx], c)
-        return w
+
+        def scaled(row, lead):
+            for code in sorted(row, reverse=True):
+                v = row[code]
+                g = gcd(v, lead)
+                yield code, v // g, lead // g
+
+        for pivot, row in zip(self.pivots, self.rows):
+            yield scaled(row, row[pivot])
 
 
-def _eliminate(w, row, lead, c):
-    """w := (lead/g) w - (c/g) row with g = gcd(lead, c), in place.
+def _eliminate(w, row, pivot, c):
+    """w := (lead/g) w - (c/g) row with lead = row[pivot] and
+    g = gcd(lead, c), in place.
 
-    c is w's coefficient at row's pivot and lead is row's, so the result has
-    no term there; it is a nonzero multiple of the rational elimination.
+    c is w's coefficient at pivot, so the result has no term there; it is a
+    nonzero multiple of the rational elimination.
     """
+    lead = row[pivot]
     g = gcd(lead, c)
     if g != lead:
         a = lead // g
@@ -262,23 +326,13 @@ def _eliminate(w, row, lead, c):
 
 def _make_primitive(row, pivot):
     """Divide an int row by its content, signed so that the pivot coefficient
-    is positive, in place; returns that coefficient."""
+    is positive, in place."""
     g = gcd(*row.values())
     if row[pivot] < 0:
         g = -g
     if g != 1:
         for code in row:
             row[code] //= g
-    return row[pivot]
-
-
-def _reduced_terms(row, lead):
-    """(code, numerator, denominator) of an int row scaled to pivot
-    coefficient 1, in decreasing code order."""
-    for code in sorted(row, reverse=True):
-        v = row[code]
-        g = gcd(v, lead)
-        yield code, v // g, lead // g
 
 
 def _integer_terms(terms):
@@ -328,9 +382,9 @@ class GradedSpan:
     def _insert(self, d, terms):
         """insert() of the nonzero terms of a polynomial of multidegree d."""
         comp = self.component(d)
-        if _insert_at(comp, _integer_terms(terms)) is None:
+        if comp.insert(_integer_terms(terms)) is None:
             return False
-        _back_substitute(comp)
+        comp.back_substitute()
         return True
 
     def member(self, f):
@@ -363,8 +417,8 @@ class GradedSpan:
         if comp is None:
             return []
         return [
-            Poly(self.ring, {code: QQ(v, lead) for code, v in row.items()})
-            for lead, row in zip(comp.leads, comp.rows)
+            Poly(self.ring, {code: QQ(num, den) for code, num, den in terms})
+            for terms in comp.basis_terms()
         ]
 
     def __eq__(self, other):
@@ -379,10 +433,9 @@ class GradedSpan:
 
     def to_json_dict(self):
         """The span as a JSON-ready dict. Each basis row is the text of its
-        Poly in component_basis, rendered straight from the integer row:
-        coefficient v over pivot coefficient lead prints as the reduced
-        (v/g)/(lead/g), g = gcd(v, lead), and, the row being homogeneous,
-        decreasing code order is the graded-lex print order."""
+        Poly in component_basis, rendered straight from the same integer
+        terms (Component.basis_terms); the row being homogeneous, decreasing
+        code order is the graded-lex print order."""
         r = self.ring
         comps = []
         for d in self.sorted_degrees():
@@ -391,10 +444,7 @@ class GradedSpan:
                 {
                     "degree": list(d),
                     "dimension": comp.dimension,
-                    "basis": [
-                        terms_text(r, _reduced_terms(row, lead))
-                        for lead, row in zip(comp.leads, comp.rows)
-                    ],
+                    "basis": [terms_text(r, terms) for terms in comp.basis_terms()],
                 }
             )
         return {
@@ -555,7 +605,7 @@ def _close(span):
     that created it. No stored row is edited until the worklist is empty, so
     the queued rows are the stored rows, and they span the final space; the
     closure argument (module docstring) goes through unchanged. Then every
-    component is brought to reduced form by _back_substitute.
+    component is brought to reduced form by Component.back_substitute.
     A transposition moves no coefficient, so its candidate is the source
     dict with its codes swapped in one comprehension, and it is dropped when
     it equals the source. Two skips depend on the source row t (module
@@ -563,17 +613,13 @@ def _close(span):
     tau_j whose candidate equalled t are collected in fixed, and a row made
     from t by tau_i also skips those among tau_1 .. tau_{i-2}; and when
     tau_1 fixes a generator row that the n-cycle (1 2 ... n) fixes too, the
-    row skips every later tau_j. The n-cycle is built here, once per
-    closure.
+    row skips every later tau_j. The n-cycle is compiled here into a
+    Permutation, once per closure.
     """
     r = span.ring
     n = r.n
     taus = (_TRANSPOSITION << (n - 1)) - _TRANSPOSITION
-    # the n-cycle (1 2 ... n) on codes: column j < n moves to column j + 1,
-    # column n to column 1
-    last = r.column_masks[-1]
-    rest = sum(r.column_masks) ^ last
-    wrap = (n - 1) * EXP_BITS
+    cycle = Permutation(r, tuple(range(2, n + 1)) + (1,))
     heap = []
     seq = 0
     for d in sorted(span.components, key=lambda d: (sum(d), d)):
@@ -599,10 +645,7 @@ def _close(span):
                 if out == terms:
                     fixed |= kind
                     if kind == _TRANSPOSITION and skipped == _GENERATOR and n > 2:
-                        turned = {
-                            (c & rest) >> EXP_BITS | (c & last) << wrap: v
-                            for c, v in terms.items()
-                        }
+                        turned = {r.permute_code(c, cycle): v for c, v in terms.items()}
                         if turned == terms:
                             skipped |= taus
                     continue
@@ -611,58 +654,13 @@ def _close(span):
                 out = apply_operator(terms, op)
                 if not out:
                     continue
-            comp = span.component(dd)
-            pos = _insert_at(comp, out)
-            if pos is not None:
-                heapq.heappush(heap, (sum(dd), dd, seq, comp.rows[pos], skip))
+            row = span.component(dd).insert(out)
+            if row is not None:
+                heapq.heappush(heap, (sum(dd), dd, seq, row, skip))
                 seq += 1
     for comp in span.components.values():
-        _back_substitute(comp)
+        comp.back_substitute()
     return span
-
-
-def _insert_at(comp, w):
-    """Component insert that reports the inserted row's position (or None).
-
-    w is an int dict; it is reduced against the stored rows and made
-    primitive with a positive pivot coefficient. No stored row is edited, so
-    the rows stay in echelon form but may hold the pivots of later rows.
-    """
-    w = comp.reduce(w)
-    if not w:
-        return None
-    pivot = max(w)
-    b = _make_primitive(w, pivot)
-    lo, hi = 0, len(comp.pivots)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if comp.pivots[mid] > pivot:
-            lo = mid + 1
-        else:
-            hi = mid
-    comp.pivots.insert(lo, pivot)
-    comp.leads.insert(lo, b)
-    comp.rows.insert(lo, w)
-    return lo
-
-
-def _back_substitute(comp):
-    """Bring a component's echelon rows to reduced echelon form, in place.
-
-    Bottom-up, each row is reduced against the already reduced rows below
-    it, whose pivots it may hold, then divided by its content once.
-    """
-    pivots, leads, rows = comp.pivots, comp.leads, comp.rows
-    for idx in range(len(rows) - 2, -1, -1):
-        row = rows[idx]
-        edited = False
-        for k in range(idx + 1, len(rows)):
-            c = row.get(pivots[k])
-            if c:
-                _eliminate(row, rows[k], leads[k], c)
-                edited = True
-        if edited:
-            leads[idx] = _make_primitive(row, pivots[idx])
 
 
 def polarization_module(family):

@@ -62,7 +62,7 @@ def component_character(module, d, images):
     if images == tuple(range(1, r.n + 1)):
         return comp.dimension
     inv = _class_inverses(r).get(images) or Permutation(r, images).inverse()
-    total, den = comp.pivot_sum(r.permute_code(pivot, inv) for pivot in comp.pivots)
+    total, den = comp.trace(lambda code: r.permute_code(code, inv))
     if total % den:
         raise ConsistencyError(
             "non-integral character value %s on component %s"

@@ -215,13 +215,34 @@ def _row_monomial(r, row, exps_by_col, coeff=1):
     return r.monomial({(row, j): a for j, a in exps_by_col.items() if a}, coeff)
 
 
-def _row_sum(r, row, exponent_maps):
-    """The sum of the distinct monomials of row `row`, one per
+def _row_sum(r, row, exponent_maps, coeff=1):
+    """coeff times the sum of the distinct monomials of row `row`, one per
     {column: exponent} map, built in one dict."""
     terms = {}
     for exps in exponent_maps:
-        terms.update(_row_monomial(r, row, exps).terms)
+        terms.update(_row_monomial(r, row, exps, coeff).terms)
     return Poly(r, terms)
+
+
+def _orderings(parts):
+    """The distinct orderings of a tuple of parts, each once: l!/prod m_i!
+    of them for l parts with multiplicities m_i."""
+    if not parts:
+        yield ()
+        return
+    for p in dict.fromkeys(parts):
+        i = parts.index(p)
+        for rest in _orderings(parts[:i] + parts[i + 1 :]):
+            yield (p,) + rest
+
+
+def _monomial_exponents(lam, n):
+    """The {column: exponent} map of each monomial of m_lam in n columns: a
+    set of len(lam) columns times a distinct ordering of the parts on them."""
+    orderings = list(_orderings(lam))
+    for cols in combinations(range(1, n + 1), len(lam)):
+        for a in orderings:
+            yield dict(zip(cols, a))
 
 
 def power_sum_poly(k, row, n, ell=None):
@@ -253,62 +274,21 @@ def monomial_poly(lam, row, n, ell=None):
     if len(lam) > n:
         # no monomial uses more distinct variables than there are columns
         return r.zero()
-    # each monomial is a set of len(lam) columns times a distinct ordering
-    # of the parts on them
-    arrangements = set(permutations(lam))
-    cols = combinations(range(1, n + 1), len(lam))
-    return _row_sum(r, row, (dict(zip(c, a)) for c in cols for a in arrangements))
-
-
-@lru_cache(maxsize=None)
-def _ssyt_weights(lam, nvars):
-    """Multiset of content vectors of column-strict tableaux of shape lam."""
-    if not lam:
-        return ((0,) * nvars,)
-    rows = len(lam)
-    weights = []
-
-    def fill(row_idx, col_idx, current, above_row):
-        # current: the row being filled (list), above_row: finished row above
-        if col_idx == lam[row_idx]:
-            if row_idx + 1 == rows:
-                content = [0] * nvars
-                for filled in finished + [current]:
-                    for v in filled:
-                        content[v - 1] += 1
-                weights.append(tuple(content))
-                return
-            finished.append(list(current))
-            fill(row_idx + 1, 0, [], finished[-1])
-            finished.pop()
-            return
-        lo = current[col_idx - 1] if col_idx > 0 else 1
-        if above_row is not None and col_idx < len(above_row):
-            lo = max(lo, above_row[col_idx] + 1)
-        for v in range(lo, nvars + 1):
-            current.append(v)
-            fill(row_idx, col_idx + 1, current, above_row)
-            current.pop()
-
-    finished = []
-    fill(0, 0, [], None)
-    return tuple(weights)
+    return _row_sum(r, row, _monomial_exponents(lam, n))
 
 
 def schur_row_poly(lam, row, n, ell=None):
+    """s_lam = sum over mu of K(lam, mu) m_mu in row `row`, built in one dict:
+    the m_mu of distinct mu share no monomial, and m_mu vanishes when mu has
+    more than n parts."""
     lam = check_partition(lam)
     r = ring(ell or row, n)
-    if len(lam) > n:
-        # column-strict fillings need a strictly increasing first column
-        return r.zero()
-    out = {}
-    for content in _ssyt_weights(lam, n):
-        code = 0
-        for j, a in enumerate(content, start=1):
-            if a:
-                code += a << r.shifts[r.cell(row, j)]
-        out[code] = out.get(code, QQ(0)) + 1
-    return r.from_terms(out)
+    terms = {}
+    for mu in partitions_of(sum(lam)):
+        k = len(mu) <= n and kostka(lam, mu)
+        if k:
+            terms.update(_row_sum(r, row, _monomial_exponents(mu, n), k).terms)
+    return Poly(r, terms)
 
 
 def _product_over_parts(lam, factor, row, n, ell):
@@ -379,9 +359,10 @@ def multi_elementary(d, n):
     colors = []
     for i, di in enumerate(d, start=1):
         colors.extend([i] * di)
+    colorings = list(_orderings(tuple(colors)))
     out = {}
     for cols in combinations(range(1, n + 1), total):
-        for coloring in set(permutations(colors)):
+        for coloring in colorings:
             code = 0
             for j, i in zip(cols, coloring):
                 code += 1 << r.shifts[r.cell(i, j)]

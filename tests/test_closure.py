@@ -174,7 +174,7 @@ CANDIDATE_COUNTS = [
 @pytest.mark.parametrize("argv, counts", CANDIDATE_COUNTS)
 def test_closure_candidate_sequence_is_pinned(argv, counts, monkeypatch, capsys):
     seen = [0, 0, 0]
-    apply_operator, insert_at = closure.apply_operator, closure._insert_at
+    apply_operator, insert = closure.apply_operator, closure.Component.insert
 
     def counted_apply(terms, op):
         seen[0] += 1
@@ -182,12 +182,12 @@ def test_closure_candidate_sequence_is_pinned(argv, counts, monkeypatch, capsys)
 
     def counted_insert(comp, w):
         seen[1] += 1
-        pos = insert_at(comp, w)
-        seen[2] += pos is not None
-        return pos
+        row = insert(comp, w)
+        seen[2] += row is not None
+        return row
 
     monkeypatch.setattr(closure, "apply_operator", counted_apply)
-    monkeypatch.setattr(closure, "_insert_at", counted_insert)
+    monkeypatch.setattr(closure.Component, "insert", counted_insert)
     assert main(argv + ["--format", "json"]) == 0
     capsys.readouterr()
     assert tuple(seen) == counts

@@ -8,7 +8,8 @@ component of a module), independence of insertion order and scaling,
 closure under every derivative and polarization (the closure applies only
 some of them), closure idempotence, GL_ell stability of the dimensions,
 stability under the column transpositions of modules of non-symmetric
-families, and equivariance under row and column permutations.
+families, equivariance under row and column permutations, and the traces of
+column permutations (integral on modules) against a Fraction reference.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from polmod import (
     polarization_module,
     ring,
 )
+from polmod.polyring import Permutation
 
 from conftest import render_cell_by_cell
 
@@ -152,9 +154,10 @@ def test_component_basis_matches_fraction_gauss_jordan(family):
 def assert_canonical(comp):
     """comp's rows are primitive int vectors in reduced echelon form."""
     assert comp.pivots == sorted(set(comp.pivots), reverse=True)
-    for pivot, lead, row in zip(comp.pivots, comp.leads, comp.rows):
+    assert len(comp.rows) == len(comp.pivots)
+    for pivot, row in zip(comp.pivots, comp.rows):
         assert all(type(v) is int for v in row.values())
-        assert max(row) == pivot and row[pivot] == lead > 0
+        assert max(row) == pivot and row[pivot] > 0
         assert gcd(*row.values()) == 1
         assert not any(p in row for p in comp.pivots if p != pivot)
 
@@ -174,6 +177,46 @@ def test_module_components_are_canonical(family):
     module = polarization_module(GeneratorFamily(polys, mode="orbit"))
     for comp in module.components.values():
         assert_canonical(comp)
+
+
+def moved_pivot_reference(span, d, images):
+    """Sum over the component_basis(d) rows of the row's coefficient at
+    sigma^-1 pivot, in Fractions, with sigma^-1 applied to the unpacked
+    exponents: column images[j-1] of the pivot moves back to column j."""
+    r = span.ring
+    total = Fraction(0)
+    for f in span.component_basis(d):
+        exps = r.unpack(max(f.terms))
+        moved = [0] * r.ncells
+        for i in range(r.ell):
+            for j, image in enumerate(images):
+                moved[i * r.n + j] = exps[i * r.n + image - 1]
+        total += as_fraction(f.terms.get(r.pack(moved), 0))
+    return total
+
+
+@PROPERTY_SETTINGS
+@given(families(), st.sampled_from(("module", "span", "twisted")), st.data())
+def test_component_trace_matches_a_fraction_reference(family, kind, data):
+    # modules of the closure, whose traces are characters, and hand-built
+    # spans, which need not be column-stable; a twisted span adds q sigma^-1 f
+    # to each f, so that rows hold terms at moved pivots and traces can be
+    # fractions
+    r, degree, polys = family
+    images = tuple(data.draw(st.permutations(range(1, r.n + 1))))
+    inv = Permutation(r, images).inverse()
+    if kind == "module":
+        span = polarization_module(GeneratorFamily(polys, mode="orbit"))
+    elif kind == "span":
+        span = span_of(r, polys)
+    else:
+        span = span_of(r, [f + f.permute(inv).scale(data.draw(rationals())) for f in polys])
+    for d, comp in span.components.items():
+        total, den = comp.trace(lambda code: r.permute_code(code, inv))
+        assert den > 0
+        assert Fraction(total, den) == moved_pivot_reference(span, d, images)
+        if kind == "module":
+            assert total % den == 0
 
 
 @PROPERTY_SETTINGS

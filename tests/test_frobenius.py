@@ -155,7 +155,7 @@ def test_identity_trace_is_the_component_dimension():
         identity = tuple(range(1, n + 1))
         for d, comp in module.components.items():
             assert component_character(module, d, identity) == comp.dimension
-            total, den = comp.pivot_sum(comp.pivots)
+            total, den = comp.trace(lambda code: code)
             assert total == den * comp.dimension
     # unstable spans too: the gate reads the identity as their dimension
     r = ring(1, 3)

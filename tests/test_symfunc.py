@@ -181,6 +181,10 @@ def test_monomial_basis_matches_full_permutation_sum():
     assert len(m1111) == math.comb(11, 4) == 330
     assert set(m1111.terms.values()) == {QQ(1)}
     assert all(max(m1111.ring.unpack(c)) == 1 for c in m1111.terms)
+    # one ordering of the 12 equal parts, not 12! (479M) of them: the single
+    # monomial x[1,1]*...*x[1,12]
+    m1_12 = expand_basis("m", (1,) * 12, 1, 12)
+    assert m1_12.terms == {m1_12.ring.pack((1,) * 12): QQ(1)}
 
 
 def test_expand_basis_multipart_shapes_multiply():
@@ -194,13 +198,16 @@ def test_expand_basis_multipart_shapes_multiply():
 
 
 def test_schur_matches_jacobi_trudi_expansion():
-    for n, lam in [(4, (2, 2)), (4, (3, 1)), (5, (2, 2, 1))]:
-        s = expand_basis("s", lam, 1, n, 1)
-        combo = None
-        for mu, coeff in jacobi_trudi_h(lam).items():
-            term = expand_basis("h", mu, 1, n, 1).scale(coeff)
-            combo = term if combo is None else combo + term
-        assert s == combo
+    # the h-determinant uses no Kostka number; s_lam vanishes in n < len(lam)
+    # variables, and so does the determinant
+    for n in range(1, 6):
+        for size in range(6):
+            for lam in partitions_of(size):
+                s = expand_basis("s", lam, 1, n, 1)
+                combo = ring(1, n).zero()
+                for mu, coeff in jacobi_trudi_h(lam).items():
+                    combo = combo + expand_basis("h", mu, 1, n, 1).scale(coeff)
+                assert s == combo, (lam, n)
 
 
 def test_kostka_values():
@@ -339,6 +346,15 @@ def test_multi_elementary_matches_direct_expansion():
     # single-row multidegrees reduce to ordinary elementaries
     e2 = multi_elementary((2, 0), 3)
     assert e2 == expand_basis("e", (2,), 1, 3, 2)
+    # C(10, 5) ways to put the five row-1 variables among the columns; the
+    # five row-2 ones fill the rest
+    f = multi_elementary((5, 5), 10)
+    assert f.multidegree() == (5, 5)
+    assert len(f.terms) == math.comb(10, 5) == 252
+    assert set(f.terms.values()) == {QQ(1)}
+    for code in f.terms:
+        exps = f.ring.unpack(code)
+        assert [a + b for a, b in zip(exps[:10], exps[10:])] == [1] * 10
 
 
 def test_sym_series_rendering():
