@@ -14,7 +14,9 @@ Grammar for a single polynomial argument:
 
 A TAG atom is the named symmetric function of the first-row variables
 (products over parts for e, h, p). An 'x' atom is one matrix variable
-x[row, column]. Whitespace is free.
+x[row, column]. A '^' exponent may not exceed the packed-exponent cap 30
+(MAX_TOTAL_DEGREE), even on a rational, so 2^31 is refused. Whitespace is
+free.
 
 Whole-argument family forms (no arithmetic around them):
 
@@ -113,6 +115,11 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             k = self.integer()
+            if k > MAX_TOTAL_DEGREE:
+                raise UsageError(
+                    "exponent %d in generator %r is above the packed-exponent "
+                    "cap %d" % (k, self.text, MAX_TOTAL_DEGREE)
+                )
             f = f ** k
         return f
 

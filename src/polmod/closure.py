@@ -92,15 +92,7 @@ skip:
   commute with D_1;
 - tau_j when E = tau_j, because tau_j^2 = 1;
 - every tau_j with j >= i + 2 when E = tau_i, because the two commute
-  (ordered skip);
-- tau_j with j <= i - 2 when E = tau_i and tau_j was seen to fix the
-  source row t, that is, its candidate from t equalled t (observed skip).
-  The transpositions run last and by increasing j, so each such tau_j has
-  run on t before tau_i makes a row from it.
-
-A generator row t that tau_1 fixes is also tested against the n-cycle
-c = (1 2 ... n); if c fixes t too, t skips tau_2 .. tau_{n-1}
-(generator-row skip).
+  (ordered skip).
 
 A transposition candidate equal to its source is dropped, as it is already
 in W.
@@ -110,7 +102,7 @@ of all snapshots. A snapshot s created from a snapshot t by an operator E
 is s = a E t + (sum of rows stored in the same component before s was
 inserted), and those rows lie in the span of snapshots created before s.
 The base case of each induction below is the generator rows, which skip
-nothing but the transpositions of the generator-row skip.
+nothing.
 
 1. No lowering E[i+1,i]^(1) is ever skipped, so E W is in W for each.
 2. Raising. Claim: A s is in W for every snapshot s and every raising
@@ -159,23 +151,9 @@ Per column, with d_i = d/dx[i,j]: [x2 d2^2, x2 d1^2] = 2 x2 d2 d1^2,
    b. s was created from t by E = tau_j. Then
       tau_j s = a t + (sum of tau_j applied to earlier snapshots), and t is
       in W.
-   c. s was created from t by E = tau_i with i >= j + 2, and tau_j t = t.
-      Write s = a tau_i t + sum c_u u over earlier snapshots u. As tau_i
-      and tau_j commute, tau_j s = a tau_i (tau_j t) + sum c_u tau_j u
-      = s - sum c_u u + sum c_u tau_j u, which is in W by the inner
-      induction alone.
-   d. s is a generator row that tau_1 and c fix. The transposition (1 2)
-      and the n-cycle generate S_n, so tau_j s = s.
 
    So W is closed under every tau_j, hence S_n-stable, and so closed under
    every d/dx[1,j] = sigma D_1 sigma with sigma = (1 j).
-
-The conditions of the observed and the generator-row skips are needed.
-Skipping tau_j, j <= i - 2, on every row made by tau_i closes
-x[1,1]^2*x[1,2] at n = 4, ell = 3 to dimension 165 instead of 211; skipping
-tau_2 .. tau_{n-1} on every generator row that tau_1 fixes, without the
-n-cycle test, closes x[1,1]*x[1,2] at n = 4, ell = 2 to dimension 8 instead
-of 27.
 """
 
 from __future__ import annotations
@@ -186,7 +164,7 @@ from math import gcd, lcm
 from operator import neg
 
 from .errors import NonHomogeneous, UsageError
-from .polyring import EXP_BITS, Permutation, Poly, apply_operator, ring, terms_text
+from .polyring import EXP_BITS, Poly, apply_operator, ring, terms_text
 from .rationals import QQ
 
 
@@ -519,12 +497,10 @@ def _check_span_stable(family):
 
 # operator kinds a snapshot may skip, as bits of the mask in _operators; the
 # column transposition (j j+1) has the bit _TRANSPOSITION << (j - 1).
-# _GENERATOR is no operator's bit: it marks the generator rows in _close.
 _ROW1_PARTIAL = 1
 _ROW1_SELF_POLARIZATIONS = 2
 _RAISING = 4
-_GENERATOR = 8
-_TRANSPOSITION = 16
+_TRANSPOSITION = 8
 
 
 def _operators(r, degree):
@@ -536,15 +512,14 @@ def _operators(r, degree):
     E[1,1]^(p), 2 <= p <= min(3, d_1) at ell = 1 and p = 2 otherwise, then
     the adjacent column transpositions tau_j = (j j+1) by increasing j.
     Derivatives and polarizations are the ring's compiled, cached Operator
-    objects; tau_j is the mask quadruple (other columns, column j,
-    column j + 1, below) that swaps the two columns of a code with two
-    shifts, where below holds the bits of tau_1 .. tau_{j-2}, the earlier
-    transpositions that commute with tau_j. The module docstring proves every
-    other derivative and polarization redundant: E[i,k]^(1) is an iterated
-    commutator of adjacent ones, d/dx[k,1] = [D_1, E[1,k]^(1)], E[1,1]^(3)
-    at ell >= 2 is a combination of commutators of E[2,1]^(1), E[1,2]^(1),
-    E[2,2]^(2) and E[2,1]^(2), E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] /
-    (2 - p) for p >= 3, E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row
+    objects; tau_j is the mask triple (other columns, column j,
+    column j + 1) that swaps the two columns of a code with two shifts. The
+    module docstring proves every other derivative and polarization
+    redundant: E[i,k]^(1) is an iterated commutator of adjacent ones,
+    d/dx[k,1] = [D_1, E[1,k]^(1)], E[1,1]^(3) at ell >= 2 is a combination
+    of commutators of E[2,1]^(1), E[1,2]^(1), E[2,2]^(2) and E[2,1]^(2),
+    E[1,1]^(p+1) = [E[1,1]^(2), E[1,1]^(p)] / (2 - p) for p >= 3,
+    E[k,k]^(p) = sigma E[1,1]^(p) sigma for the row
     swap sigma = (1 k) (the fixpoint is GL_ell-stable),
     E[i,k]^(p) = [E[i,k]^(1), E[k,k]^(p)], and
     d/dx[i,j] = sigma d/dx[i,1] sigma for the column swap sigma = (1 j) (the
@@ -559,8 +534,7 @@ def _operators(r, degree):
     D_1 for i != 1, E[1,1]^(p) for i, k != 1, and every tau_j. E[1,1]^(p)
     skips every tau_j too, D_1 skips the tau_j with j >= 2, which fix
     column 1, and tau_j skips itself (tau_j^2 = 1) and every later
-    tau_{j'} that commutes with it (j' >= j + 2). _close adds the skips that
-    depend on the source row.
+    tau_{j'} that commutes with it (j' >= j + 2).
     """
     n = r.n
     taus = (_TRANSPOSITION << (n - 1)) - _TRANSPOSITION
@@ -591,9 +565,8 @@ def _operators(r, degree):
     for j in range(1, n):
         left, right = columns[j - 1], columns[j]
         bit = _TRANSPOSITION << (j - 1)
-        below = taus & (bit >> 1) - 1
         later = taus & -(bit << 2)
-        ops.append((degree, (every ^ left ^ right, left, right, below), bit, bit | later))
+        ops.append((degree, (every ^ left ^ right, left, right), bit, bit | later))
     return ops
 
 
@@ -608,23 +581,14 @@ def _close(span):
     component is brought to reduced form by Component.back_substitute.
     A transposition moves no coefficient, so its candidate is the source
     dict with its codes swapped in one comprehension, and it is dropped when
-    it equals the source. Two skips depend on the source row t (module
-    docstring, the observed and the generator-row skips): the bits of the
-    tau_j whose candidate equalled t are collected in fixed, and a row made
-    from t by tau_i also skips those among tau_1 .. tau_{i-2}; and when
-    tau_1 fixes a generator row that the n-cycle (1 2 ... n) fixes too, the
-    row skips every later tau_j. The n-cycle is compiled here into a
-    Permutation, once per closure.
+    it equals the source. Generator rows are queued with an empty skip mask.
     """
     r = span.ring
-    n = r.n
-    taus = (_TRANSPOSITION << (n - 1)) - _TRANSPOSITION
-    cycle = Permutation(r, tuple(range(2, n + 1)) + (1,))
     heap = []
     seq = 0
     for d in sorted(span.components, key=lambda d: (sum(d), d)):
         for row in span.components[d].rows:
-            heapq.heappush(heap, (sum(d), d, seq, row, _GENERATOR))
+            heapq.heappush(heap, (sum(d), d, seq, row, 0))
             seq += 1
 
     ops = {}
@@ -632,24 +596,17 @@ def _close(span):
         _, d, _, terms, skipped = heapq.heappop(heap)
         if d not in ops:
             ops[d] = _operators(r, d)
-        fixed = 0
         for dd, op, kind, skip in ops[d]:
             if kind & skipped:
                 continue
             if kind >= _TRANSPOSITION:
-                keep, left, right, below = op
+                keep, left, right = op
                 out = {
                     c & keep | (c & left) >> EXP_BITS | (c & right) << EXP_BITS: v
                     for c, v in terms.items()
                 }
                 if out == terms:
-                    fixed |= kind
-                    if kind == _TRANSPOSITION and skipped == _GENERATOR and n > 2:
-                        turned = {r.permute_code(c, cycle): v for c, v in terms.items()}
-                        if turned == terms:
-                            skipped |= taus
                     continue
-                skip |= fixed & below
             else:
                 out = apply_operator(terms, op)
                 if not out:

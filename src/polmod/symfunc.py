@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from .errors import NotSymmetric, UsageError
@@ -246,26 +246,24 @@ def _monomial_exponents(lam, n):
 
 
 def power_sum_poly(k, row, n, ell=None):
-    r = ring(ell or row, n)
+    """p_k = m_(k); p_0 = n."""
     if k == 0:
-        return r.const(n)
-    return _row_sum(r, row, ({j: k} for j in range(1, n + 1)))
+        return ring(ell or row, n).const(n)
+    return monomial_poly((k,), row, n, ell)
 
 
 def elementary_poly(k, row, n, ell=None):
-    r = ring(ell or row, n)
+    """e_k = m_(1^k); e_0 = 1."""
     if k == 0:
-        return r.one()
-    cols = combinations(range(1, n + 1), k)
-    return _row_sum(r, row, (dict.fromkeys(c, 1) for c in cols))
+        return ring(ell or row, n).one()
+    return monomial_poly((1,) * k, row, n, ell)
 
 
 def homogeneous_poly(k, row, n, ell=None):
-    r = ring(ell or row, n)
+    """h_k = s_(k), the sum of m_mu over mu |- k; h_0 = 1."""
     if k == 0:
-        return r.one()
-    cols = combinations_with_replacement(range(1, n + 1), k)
-    return _row_sum(r, row, ({j: c.count(j) for j in c} for c in cols))
+        return ring(ell or row, n).one()
+    return schur_row_poly((k,), row, n, ell)
 
 
 def monomial_poly(lam, row, n, ell=None):

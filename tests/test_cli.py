@@ -454,7 +454,7 @@ def test_main_usage_errors(capsys):
     assert main([]) == 1
     capsys.readouterr()
     # degrees above the packed-exponent cap of 30
-    for gen in ("x[1,1]^40", "m[40]", "p[31]"):
+    for gen in ("x[1,1]^40", "m[40]", "p[31]", "3^1000000000"):
         assert main(["hilbert", "--gen=" + gen, "--n", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "cap 30" in err

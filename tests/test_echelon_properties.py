@@ -304,12 +304,11 @@ def orbit_family(ell, n, exps):
 
 @PROPERTY_SETTINGS
 @given(non_symmetric_families())
-# a row made by tau_i may skip tau_j, j <= i - 2, only once tau_j has been
-# seen to fix its source row: skipping it always closes this to dimension
-# 165, not 211
+# the unsound shortcut of skipping tau_j on every row made by tau_i,
+# i >= j + 2, closes this to dimension 165, not 211
 @example(orbit_family(3, 4, {(1, 1): 2, (1, 2): 1}))
-# tau_1 fixes x[1,1]*x[1,2] but the 4-cycle does not: skipping tau_2 and
-# tau_3 on the generator row closes this to dimension 8, not 27
+# the unsound shortcut of skipping tau_2 and tau_3 on a generator row that
+# tau_1 fixes closes this to dimension 8, not 27
 @example(orbit_family(2, 4, {(1, 1): 1, (1, 2): 1}))
 def test_modules_of_non_symmetric_families_are_column_stable(family_and_orbit):
     # the closure applies d/dx[1,1] and only some of the adjacent
