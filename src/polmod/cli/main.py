@@ -14,7 +14,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_module_flags(sub, gens_required=True):
+def _add_module_flags(sub):
     sub.add_argument(
         "--gen",
         action="append",

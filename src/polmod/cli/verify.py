@@ -5,6 +5,9 @@ POLMOD_FIXTURES environment variable, which names a directory with the
 same file names). Records carry a tier: 'assert' records fail the run on
 any mismatch, 'report' records only describe what the engine found.
 
+Each module the records read is built once per run, in a forked worker
+where it can be, and summarised by both of its series (Session).
+
 The classification layer (polmod.exceptions) is imported inside the
 checks that read it, so the module tables do not load it.
 """
@@ -104,12 +107,12 @@ def _pool_size(jobs):
     return min(cpus, jobs)
 
 
-def summarise(key, frobenius):
+def summarise(key):
     """(Hilbert series, Frobenius series) of the module of one key.
 
-    Each entry is the series or the exception computing it raised; the
-    Frobenius entry is None unless `frobenius`. A failure to build the
-    module is both entries, as a record asking for either would meet it.
+    Each entry is the series or the exception computing it raised. A
+    failure to build the module is both entries, as a record asking for
+    either would meet it.
     """
     generators, mode, n, ell = key
     try:
@@ -119,32 +122,10 @@ def summarise(key, frobenius):
         hs = hilbert_series(module)
     except Exception as exc:
         return exc, exc
-    if not frobenius:
-        return hs, None
     try:
         return hs, frobenius_series(module)
     except Exception as exc:
         return hs, exc
-
-
-def summarise_all(wanted):
-    """{key: summarise(key, frobenius)} over wanted = {key: frobenius}, in
-    key order.
-
-    The modules share no state, so with two or more CPUs they are built in
-    forked worker processes (_pool_summaries); a key no worker returned is
-    summarised here, in key order, as is every key when this process may
-    use one CPU only or the platform has no fork.
-    """
-    items = list(wanted.items())
-    workers = _pool_size(len(items))
-    done = {}
-    if workers >= 2 and hasattr(os, "fork"):
-        done = _pool_summaries(items, workers)
-    return {
-        key: done[i] if i in done else summarise(key, frobenius)
-        for i, (key, frobenius) in enumerate(items)
-    }
 
 
 _RECORD = 4  # bytes per task record: a key index, big-endian
@@ -153,11 +134,11 @@ _RECORD = 4  # bytes per task record: a key index, big-endian
 _CHUNK = 512
 
 
-def _pool_summaries(items, workers):
-    """{index: summary} over the items that `workers` forked processes
-    summarised and returned.
+def _pool_summaries(keys):
+    """{key: summarise(key)} over the keys that forked worker processes
+    summarised and returned; {} below two workers or without os.fork.
 
-    Every item index goes into one task pipe before the first fork, and
+    Every key index goes into one task pipe before the first fork, and
     each worker reads one record at a time until EOF, so a worker that
     finishes early takes more. A worker then writes one pickled
     [(index, summary)] list to its own result pipe and leaves by os._exit,
@@ -167,14 +148,17 @@ def _pool_summaries(items, workers):
     has read. The list of a worker that died, exited nonzero or left a
     truncated pickle is dropped.
     """
+    workers = _pool_size(len(keys))
+    if workers < 2 or not hasattr(os, "fork"):
+        return {}
     tasks, queue = os.pipe()
     os.set_blocking(queue, False)
-    records = b"".join(i.to_bytes(_RECORD, "big") for i in range(len(items)))
+    records = b"".join(i.to_bytes(_RECORD, "big") for i in range(len(keys)))
     try:
         for start in range(0, len(records), _CHUNK):
             os.write(queue, records[start : start + _CHUNK])
     except BlockingIOError:
-        pass  # the pipe is full; the items not queued are summarised inline
+        pass  # the pipe is full; the keys not queued are summarised on request
     finally:
         os.close(queue)
     running = []  # (pid, result pipe) of each worker not yet reaped
@@ -189,7 +173,7 @@ def _pool_summaries(items, workers):
                 os.close(out)
                 raise
             if pid == 0:
-                _work(items, tasks, out)
+                _work(keys, tasks, out)
             os.close(out)
             running.append((pid, results))
         while running:
@@ -209,11 +193,11 @@ def _pool_summaries(items, workers):
             _read_to_eof(results)
             os.close(results)
             os.waitpid(pid, 0)
-    return done
+    return {keys[i]: summary for i, summary in done.items()}
 
 
-def _work(items, tasks, out):
-    """A worker's whole life: summarise the items whose records it reads
+def _work(keys, tasks, out):
+    """A worker's whole life: summarise the keys whose records it reads
     from `tasks`, write them to `out`, and exit; it never returns."""
     status = 1
     try:
@@ -223,7 +207,7 @@ def _work(items, tasks, out):
             if not record:
                 break
             i = int.from_bytes(record, "big")
-            done.append((i, summarise(*items[i])))
+            done.append((i, summarise(keys[i])))
         data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
         while data:
             data = data[os.write(out, data) :]
@@ -242,13 +226,13 @@ def _read_to_eof(fd):
 
 
 def _record_modules(rec):
-    """(key, needs the Frobenius series) for each module a record reads."""
+    """The key of each module a record reads."""
     kind = rec["kind"]
     mode = rec.get("mode", "orbit")
     if kind == "frobenius":
         for n in rec["n_values"]:
             for ell in rec["ell_values"]:
-                yield (tuple(rec["generators"]), mode, n, ell), True
+                yield (tuple(rec["generators"]), mode, n, ell)
     elif kind in ("hilbert", "h_positive"):
         gens = list(rec["generators"])
         if kind == "hilbert":
@@ -256,49 +240,47 @@ def _record_modules(rec):
         for n in rec["n_values"]:
             for ell in rec["ell_values"]:
                 for gen in gens:
-                    yield ((gen,), mode, n, ell), False
+                    yield ((gen,), mode, n, ell)
 
 
 def module_requests(records):
-    """{key: needs the Frobenius series} over the modules that records ask
-    for, in record order.
+    """The distinct keys of the modules that records ask for, in record
+    order.
 
     Collection stops at the first record it cannot read. The records are
     then checked in order, so that record still raises its own error where
     it stands, and a module asked for after it is summarised on request.
     """
-    wanted = {}
+    keys = {}
     try:
         for rec in records:
-            for key, frobenius in _record_modules(rec):
-                wanted[key] = wanted.get(key, False) or frobenius
+            for key in _record_modules(rec):
+                keys[key] = None
     except Exception:
         pass
-    return wanted
+    return list(keys)
 
 
 class Session:
     """Module summaries of one verify run, keyed by (generators, mode, n,
     ell).
 
-    prefetch() summarises the modules the records will ask for, in
-    parallel where it can; a module not prefetched is summarised on its
-    first request. A stored exception is raised at every request for it,
-    so an error surfaces at the first record that needs the module.
+    Session(keys) has forked workers summarise those modules where it can
+    (_pool_summaries); any other module, every one on a single CPU, is
+    summarised on its first request. A stored exception is raised at
+    every request for it, so an error surfaces at the first record that
+    needs the module.
     """
 
-    def __init__(self):
-        self._summaries = {}
-
-    def prefetch(self, wanted):
-        self._summaries.update(summarise_all(wanted))
+    def __init__(self, keys):
+        self._summaries = _pool_summaries(keys)
 
     def _series(self, generators, mode, n, ell, frobenius):
         key = (tuple(generators), mode, n, ell)
         summary = self._summaries.get(key)
-        if summary is None or (frobenius and summary[1] is None):
-            summary = self._summaries[key] = summarise(key, frobenius)
-        value = summary[1 if frobenius else 0]
+        if summary is None:
+            summary = self._summaries[key] = summarise(key)
+        value = summary[frobenius]
         if isinstance(value, Exception):
             raise value
         return value
@@ -430,23 +412,25 @@ def _check_p2_shift(rec):
     from ..exceptions import partials_span_dimension
 
     results = []
-    n = rec["n_values"][0]
-    r = ring(1, n)
-    polys = parse_generator_args(rec["generators"], r)
-    g = polys[0]
-    lhs = g.polarize(1, 1, 2)
-    rhs = r.zero()
-    for j in range(1, n + 1):
-        rhs = rhs + g.derive(1, j)
-    identity = lhs == rhs
-    dim = partials_span_dimension(g)
-    ok = identity and dim == rec["expected_dim"]
-    detail = "identity %s, span dimension %d (expected %d)" % (
-        "holds" if identity else "fails",
-        dim,
-        rec["expected_dim"],
-    )
-    results.append(_result(rec, "n=%d" % n, _status(rec, ok), detail))
+    for n in rec["n_values"]:
+        r = ring(1, n)
+        polys = parse_generator_args(rec["generators"], r)
+        if len(polys) != 1:
+            raise UsageError("p2_shift takes a single generator")
+        g = polys[0]
+        lhs = g.polarize(1, 1, 2)
+        rhs = r.zero()
+        for j in range(1, n + 1):
+            rhs = rhs + g.derive(1, j)
+        identity = lhs == rhs
+        dim = partials_span_dimension(g)
+        ok = identity and dim == rec["expected_dim"]
+        detail = "identity %s, span dimension %d (expected %d)" % (
+            "holds" if identity else "fails",
+            dim,
+            rec["expected_dim"],
+        )
+        results.append(_result(rec, "n=%d" % n, _status(rec, ok), detail))
     return results
 
 
@@ -505,13 +489,12 @@ def _read_records(files):
 def run_verify(selector_names):
     """Check the records of the selected fixture files.
 
-    The modules the records read are summarised first, in parallel where
-    possible; the records are then checked in order against the
-    summaries, so results and errors come out as from one sequential pass.
+    The records are checked in order against a Session of the modules they
+    read, so results and errors come out as from one sequential pass,
+    whichever process built each module.
     """
     records, load_error = _read_records(resolve_selectors(selector_names))
-    session = Session()
-    session.prefetch(module_requests(records))
+    session = Session(module_requests(records))
     results = []
     for rec in records:
         results.extend(run_record(rec, session))

@@ -15,6 +15,7 @@ from polmod import (
     SymSeries,
     UsageError,
     expand_basis,
+    frobenius_series,
     hilbert_series,
     ring,
 )
@@ -283,12 +284,15 @@ def test_session_builds_a_module_once_per_key(monkeypatch, tmp_path):
     assert doc["checked"] == 4 and doc["passed"] == 2
     assert [f.text for f in built] == [["p[2]"], FAST_1["generators"]]
 
-    # a module no record asked for is built on its first request only
+    # a module no record asked for is built on its first request only,
+    # and that build gives its Frobenius series too
     del built[:]
-    session = verify.Session()
+    session = verify.Session([])
     first = session.hilbert(["p[2]"], "orbit", 3, 2)
     second = session.hilbert(["p[2]"], "orbit", 3, 2)
+    frob = session.frobenius(["p[2]"], "orbit", 3, 2)
     assert len(built) == 1
+    assert frob == frobenius_series(verify.polarization_module(built[0]))
     assert first == second == hilbert_series(verify.polarization_module(built[0]))
 
 
@@ -363,14 +367,13 @@ def test_worker_errors_come_back_through_the_pool(monkeypatch, capsys, error, st
 def test_pool_returns_every_item_whole(monkeypatch):
     # 300 task records fill more than one atomic write, and each worker's
     # list is far larger than a pipe buffer
-    def summarise(key, frobenius):
-        return key * 2000, frobenius
+    def summarise(key):
+        return key * 2000, key
 
     monkeypatch.setattr(verify, "summarise", summarise)
-    items = [(str(i), i % 3 == 0) for i in range(300)]
-    assert verify._pool_summaries(items, 2) == {
-        i: summarise(*item) for i, item in enumerate(items)
-    }
+    _use_workers(monkeypatch, 2)
+    keys = [str(i) for i in range(300)]
+    assert verify._pool_summaries(keys) == {key: summarise(key) for key in keys}
     assert_no_child_left()
 
 
@@ -383,10 +386,10 @@ def test_a_dead_workers_keys_are_summarised_inline(monkeypatch):
     parent = os.getpid()
     real = verify.summarise
 
-    def die_on_victim(key, frobenius):
+    def die_on_victim(key):
         if key == victim and os.getpid() != parent:
             os._exit(3)
-        return real(key, frobenius)
+        return real(key)
 
     monkeypatch.setattr(verify, "summarise", die_on_victim)
     _use_workers(monkeypatch, 2)
@@ -421,6 +424,22 @@ def test_run_verify_fast_set():
     assert doc["failed"] == 0
     assert doc["checked"] == doc["passed"] + doc["reported"]
     assert "OK" in render()
+
+
+def test_p2_shift_checks_every_n(monkeypatch, tmp_path):
+    records = json.loads(verify.fixture_text("experiments.json"))["records"]
+    d3 = next(r for r in records if r["id"] == "experiments/p2_shift/d3")
+    _fixture_override(
+        monkeypatch, tmp_path, "experiments.json", [dict(d3, n_values=[4, 5])]
+    )
+    doc, _ = run_verify(["experiments"])
+    assert [r["where"] for r in doc["results"]] == ["n=4", "n=5"]
+
+    _fixture_override(
+        monkeypatch, tmp_path, "experiments.json", [dict(d3, generators=["family:A:2"])]
+    )
+    with pytest.raises(UsageError, match="p2_shift takes a single generator"):
+        run_verify(["experiments"])
 
 
 # -- entry point -------------------------------------------------------------
