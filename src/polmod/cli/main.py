@@ -111,9 +111,41 @@ def _validate_common(args):
         raise UsageError("--ell must be at least 1")
 
 
+def _json_text(doc):
+    """json.dumps(doc, indent=2, sort_keys=True), with every scalar text and
+    empty container from json.dumps itself. json's indenting encoder is pure
+    Python, and its nested closures leave a reference cycle behind on every
+    call, which an in-process caller keeps until a full collection; this
+    builds none. Like json, it joins one list of chunks once."""
+    chunks = []
+    _json_chunks(doc, "", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(value, indent, out):
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        sep = "{\n" + inner
+        for key in sorted(value):
+            text = key if isinstance(key, str) else json.dumps(key)
+            out.append(sep + json.dumps(text) + ": ")
+            _json_chunks(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit(args, doc, render):
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     else:
         print(render())
 

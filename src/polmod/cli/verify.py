@@ -6,7 +6,10 @@ same file names). Records carry a tier: 'assert' records fail the run on
 any mismatch, 'report' records only describe what the engine found.
 
 Each module the records read is built once per run, in a forked worker
-where it can be, and summarised by both of its series (Session).
+where it can be, and summarised by both of its series (Session). The
+modules of one generator list, mode and n form a group, built in one
+process by increasing ell, each module seeding the closure of the next
+(summarise).
 
 The classification layer (polmod.exceptions) is imported inside the
 checks that read it, so the module tables do not load it.
@@ -98,8 +101,8 @@ def expected_hilbert(coeffs, n, ell):
 
 
 def _pool_size(jobs):
-    """Worker processes for `jobs` independent modules: one per CPU this
-    process may run on, and no more than there are modules."""
+    """Worker processes for `jobs` independent groups of modules: one per
+    CPU this process may run on, and no more than there are groups."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -107,25 +110,45 @@ def _pool_size(jobs):
     return min(cpus, jobs)
 
 
-def summarise(key):
-    """(Hilbert series, Frobenius series) of the module of one key.
+def module_groups(keys):
+    """The distinct keys grouped by (generators, mode, n), in order of each
+    group's first key: a tuple of keys per group, by increasing ell."""
+    groups = {}
+    for key in keys:
+        groups.setdefault(key[:3], set()).add(key)
+    return [tuple(sorted(group)) for group in groups.values()]
+
+
+def summarise(group):
+    """{key: (Hilbert series, Frobenius series)} of the module of each key
+    of a group (module_groups), built in key order.
 
     Each entry is the series or the exception computing it raised. A
-    failure to build the module is both entries, as a record asking for
-    either would meet it.
+    failure to build a module is both entries, as a record asking for
+    either would meet it. A module built without error at ell - 1 seeds
+    the closure at ell (polarization_module's below).
     """
-    generators, mode, n, ell = key
-    try:
-        polys = parse_generator_args(list(generators), ring(ell, n))
-        family = GeneratorFamily(polys, mode=mode, text=list(generators))
-        module = polarization_module(family)
-        hs = hilbert_series(module)
-    except Exception as exc:
-        return exc, exc
-    try:
-        return hs, frobenius_series(module)
-    except Exception as exc:
-        return hs, exc
+    out = {}
+    below = None
+    for key in group:
+        generators, mode, n, ell = key
+        if below is not None and below.ell != ell - 1:
+            below = None
+        try:
+            polys = parse_generator_args(list(generators), ring(ell, n))
+            family = GeneratorFamily(polys, mode=mode, text=list(generators))
+            module = polarization_module(family, below)
+            hs = hilbert_series(module)
+        except Exception as exc:
+            out[key] = exc, exc
+            below = None
+            continue
+        below = module
+        try:
+            out[key] = hs, frobenius_series(module)
+        except Exception as exc:
+            out[key] = hs, exc
+    return out
 
 
 _RECORD = 4  # bytes per task record: a key index, big-endian
@@ -134,11 +157,11 @@ _RECORD = 4  # bytes per task record: a key index, big-endian
 _CHUNK = 512
 
 
-def _pool_summaries(keys):
-    """{key: summarise(key)} over the keys that forked worker processes
+def _pool_summaries(items):
+    """{item: summarise(item)} over the items that forked worker processes
     summarised and returned; {} below two workers or without os.fork.
 
-    Every key index goes into one task pipe before the first fork, and
+    Every item index goes into one task pipe before the first fork, and
     each worker reads one record at a time until EOF, so a worker that
     finishes early takes more. A worker then writes one pickled
     [(index, summary)] list to its own result pipe and leaves by os._exit,
@@ -148,17 +171,17 @@ def _pool_summaries(keys):
     has read. The list of a worker that died, exited nonzero or left a
     truncated pickle is dropped.
     """
-    workers = _pool_size(len(keys))
+    workers = _pool_size(len(items))
     if workers < 2 or not hasattr(os, "fork"):
         return {}
     tasks, queue = os.pipe()
     os.set_blocking(queue, False)
-    records = b"".join(i.to_bytes(_RECORD, "big") for i in range(len(keys)))
+    records = b"".join(i.to_bytes(_RECORD, "big") for i in range(len(items)))
     try:
         for start in range(0, len(records), _CHUNK):
             os.write(queue, records[start : start + _CHUNK])
     except BlockingIOError:
-        pass  # the pipe is full; the keys not queued are summarised on request
+        pass  # the pipe is full; the items not queued are summarised on request
     finally:
         os.close(queue)
     running = []  # (pid, result pipe) of each worker not yet reaped
@@ -173,7 +196,7 @@ def _pool_summaries(keys):
                 os.close(out)
                 raise
             if pid == 0:
-                _work(keys, tasks, out)
+                _work(items, tasks, out)
             os.close(out)
             running.append((pid, results))
         while running:
@@ -193,11 +216,11 @@ def _pool_summaries(keys):
             _read_to_eof(results)
             os.close(results)
             os.waitpid(pid, 0)
-    return {keys[i]: summary for i, summary in done.items()}
+    return {items[i]: summary for i, summary in done.items()}
 
 
-def _work(keys, tasks, out):
-    """A worker's whole life: summarise the keys whose records it reads
+def _work(items, tasks, out):
+    """A worker's whole life: summarise the items whose records it reads
     from `tasks`, write them to `out`, and exit; it never returns."""
     status = 1
     try:
@@ -207,7 +230,7 @@ def _work(keys, tasks, out):
             if not record:
                 break
             i = int.from_bytes(record, "big")
-            done.append((i, summarise(keys[i])))
+            done.append((i, summarise(items[i])))
         data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
         while data:
             data = data[os.write(out, data) :]
@@ -265,21 +288,27 @@ class Session:
     """Module summaries of one verify run, keyed by (generators, mode, n,
     ell).
 
-    Session(keys) has forked workers summarise those modules where it can
-    (_pool_summaries); any other module, every one on a single CPU, is
-    summarised on its first request. A stored exception is raised at
-    every request for it, so an error surfaces at the first record that
-    needs the module.
+    Session(keys) has forked workers summarise the groups of those modules
+    (module_groups) where it can (_pool_summaries); any other group, every
+    one on a single CPU, is summarised whole on the first request for one
+    of its modules. A module no key named is its own group. A stored
+    exception is raised at every request for it, so an error surfaces at
+    the first record that needs the module.
     """
 
     def __init__(self, keys):
-        self._summaries = _pool_summaries(keys)
+        groups = module_groups(keys)
+        self._groups = {key: group for group in groups for key in group}
+        self._summaries = {}
+        for summaries in _pool_summaries(groups).values():
+            self._summaries.update(summaries)
 
     def _series(self, generators, mode, n, ell, frobenius):
         key = (tuple(generators), mode, n, ell)
         summary = self._summaries.get(key)
         if summary is None:
-            summary = self._summaries[key] = summarise(key)
+            self._summaries.update(summarise(self._groups.get(key, (key,))))
+            summary = self._summaries[key]
         value = summary[frobenius]
         if isinstance(value, Exception):
             raise value
@@ -332,39 +361,28 @@ def _check_hilbert(rec, session):
     results = []
     mode = rec.get("mode", "orbit")
     basis = rec["basis"]
+    gens = rec["generators"]
     for n in rec["n_values"]:
         for ell in rec["ell_values"]:
             want = expected_hilbert(rec["coeffs"], n, ell)
-            for gen in rec["generators"]:
+            for i, gen in enumerate(gens + rec.get("also_printed_generators", [])):
                 hs = session.hilbert([gen], mode, n, ell)
                 got = _hilbert_in_basis(hs, basis).coeffs
                 ok = got == want
-                detail = None
-                if not ok:
+                status, detail = _status(rec, ok), None
+                if i >= len(gens):
+                    status = "report-ok"
+                    detail = "printed in this row too; engine row %s this one" % (
+                        "matches" if ok else "does not match"
+                    )
+                elif not ok:
+                    name = "schur" if basis == "s" else "homogeneous"
                     detail = "engine: %s / expected: %s" % (
-                        SymSeries("schur" if basis == "s" else "homogeneous", got),
-                        SymSeries("schur" if basis == "s" else "homogeneous", want),
+                        SymSeries(name, got),
+                        SymSeries(name, want),
                     )
                 results.append(
-                    _result(
-                        rec,
-                        "%s n=%d ell=%d" % (gen, n, ell),
-                        _status(rec, ok),
-                        detail,
-                    )
-                )
-            for gen in rec.get("also_printed_generators", []):
-                hs = session.hilbert([gen], mode, n, ell)
-                got = _hilbert_in_basis(hs, basis).coeffs
-                matches = got == want
-                results.append(
-                    _result(
-                        rec,
-                        "%s n=%d ell=%d" % (gen, n, ell),
-                        "report-ok",
-                        "printed in this row too; engine row %s this one"
-                        % ("matches" if matches else "does not match"),
-                    )
+                    _result(rec, "%s n=%d ell=%d" % (gen, n, ell), status, detail)
                 )
     return results
 
@@ -392,44 +410,36 @@ def _check_point(rec):
     return results
 
 
-def _check_span_dim(rec):
+def _check_one_row(rec):
+    """A span_dim or p2_shift record: at each n, the dimension of the span
+    of the partials of one generator in one row of variables, and for
+    p2_shift also E[1,1]^(2) g = sum_j d/dx[1,j] g. Any ell_values but [1]
+    are refused."""
     from ..exceptions import partials_span_dimension
 
+    kind = rec["kind"]
+    if rec.get("ell_values") != [1]:
+        raise UsageError(
+            "record %s: a %s record is checked at ell=1 only, not at "
+            "ell_values %s" % (rec["id"], kind, rec.get("ell_values"))
+        )
     results = []
     for n in rec["n_values"]:
         r = ring(1, n)
         polys = parse_generator_args(rec["generators"], r)
         if len(polys) != 1:
-            raise UsageError("span_dim takes a single generator")
-        dim = partials_span_dimension(polys[0])
+            raise UsageError("%s takes a single generator" % kind)
+        g = polys[0]
+        dim = partials_span_dimension(g)
         ok = dim == rec["expected_dim"]
         detail = "span dimension %d (expected %d)" % (dim, rec["expected_dim"])
-        results.append(_result(rec, "n=%d" % n, _status(rec, ok), detail))
-    return results
-
-
-def _check_p2_shift(rec):
-    from ..exceptions import partials_span_dimension
-
-    results = []
-    for n in rec["n_values"]:
-        r = ring(1, n)
-        polys = parse_generator_args(rec["generators"], r)
-        if len(polys) != 1:
-            raise UsageError("p2_shift takes a single generator")
-        g = polys[0]
-        lhs = g.polarize(1, 1, 2)
-        rhs = r.zero()
-        for j in range(1, n + 1):
-            rhs = rhs + g.derive(1, j)
-        identity = lhs == rhs
-        dim = partials_span_dimension(g)
-        ok = identity and dim == rec["expected_dim"]
-        detail = "identity %s, span dimension %d (expected %d)" % (
-            "holds" if identity else "fails",
-            dim,
-            rec["expected_dim"],
-        )
+        if kind == "p2_shift":
+            rhs = r.zero()
+            for j in range(1, n + 1):
+                rhs = rhs + g.derive(1, j)
+            identity = g.polarize(1, 1, 2) == rhs
+            ok = ok and identity
+            detail = "identity %s, %s" % ("holds" if identity else "fails", detail)
         results.append(_result(rec, "n=%d" % n, _status(rec, ok), detail))
     return results
 
@@ -465,10 +475,8 @@ def run_record(rec, session):
         return _check_equation(rec)
     if kind == "point":
         return _check_point(rec)
-    if kind == "span_dim":
-        return _check_span_dim(rec)
-    if kind == "p2_shift":
-        return _check_p2_shift(rec)
+    if kind in ("span_dim", "p2_shift"):
+        return _check_one_row(rec)
     if kind == "h_positive":
         return _check_h_positive(rec, session)
     raise UsageError("unknown fixture kind %r in %s" % (kind, rec["id"]))

@@ -21,10 +21,10 @@ permutations per cycle type live in CycleType.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, perm
 
 from .errors import NotSymmetric, UsageError
 from .polyring import Poly, ring
@@ -236,9 +236,31 @@ def _orderings(parts):
             yield (p,) + rest
 
 
+# The most terms an m_lam may have in one row. Expanding one takes about 5
+# microseconds a term; every generator the bundled tables, tests and
+# benchmark read has at most 840 in each m_lam.
+MAX_ROW_TERMS = 100_000
+
+
+def monomial_term_count(lam, n):
+    """The number of terms of m_lam in n variables, n!/((n - l)! prod m_i!)
+    for l parts with multiplicities m_i; 0 when l > n."""
+    count = perm(n, len(lam))
+    for m in Counter(lam).values():
+        count //= factorial(m)
+    return count
+
+
 def _monomial_exponents(lam, n):
     """The {column: exponent} map of each monomial of m_lam in n columns: a
-    set of len(lam) columns times a distinct ordering of the parts on them."""
+    set of len(lam) columns times a distinct ordering of the parts on them.
+    An m_lam of more than MAX_ROW_TERMS terms is refused before any is made."""
+    count = monomial_term_count(lam, n)
+    if count > MAX_ROW_TERMS:
+        raise UsageError(
+            "m[%s] has %d terms in %d variables, more than the %d a generator "
+            "may have" % (",".join(map(str, lam)), count, n, MAX_ROW_TERMS)
+        )
     orderings = list(_orderings(lam))
     for cols in combinations(range(1, n + 1), len(lam)):
         for a in orderings:

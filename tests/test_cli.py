@@ -1,5 +1,6 @@
 """Unit tests for expression parsing, jobs, and the command entry point."""
 
+import gc
 import json
 import os
 import pickle
@@ -7,6 +8,7 @@ import signal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polmod import (
     FrobeniusSeries,
@@ -25,7 +27,7 @@ from polmod.cli.expressions import (
     parse_expression,
     parse_generator_args,
 )
-from polmod.cli.main import main
+from polmod.cli.main import _json_text, main
 from polmod.cli.runner import (
     classify_job,
     equation_text,
@@ -256,9 +258,9 @@ def _count_builds(monkeypatch):
     built = []
     real = verify.polarization_module
 
-    def counting(family):
+    def counting(family, below=None):
         built.append(family)
-        return real(family)
+        return real(family, below)
 
     monkeypatch.setattr(verify, "polarization_module", counting)
     return built
@@ -294,6 +296,28 @@ def test_session_builds_a_module_once_per_key(monkeypatch, tmp_path):
     assert len(built) == 1
     assert frob == frobenius_series(verify.polarization_module(built[0]))
     assert first == second == hilbert_series(verify.polarization_module(built[0]))
+
+
+def test_a_group_seeds_each_module_with_the_one_below(monkeypatch):
+    seeds = []
+    real = verify.polarization_module
+
+    def recording(family, below=None):
+        seeds.append((family.ring.ell, below and below.ell))
+        return real(family, below)
+
+    monkeypatch.setattr(verify, "polarization_module", recording)
+    # the generator has no module at ell = 1, and none at ell = 4 is asked for
+    keys = [(("x[2,1]*x[1,2]",), "orbit", 3, ell) for ell in (5, 1, 3, 2, 3)]
+    (group,) = verify.module_groups(keys)
+    assert group == tuple(keys[i] for i in (1, 3, 2, 0))
+    summaries = verify.summarise(group)
+    assert seeds == [(2, None), (3, 2), (5, None)]
+    assert list(summaries) == list(group)
+    hs, frob = summaries[group[0]]
+    assert isinstance(hs, UsageError) and frob is hs
+    for key in group[1:3]:
+        assert summaries[key] == verify.summarise((key,))[key]
 
 
 @pytest.mark.usefixtures("deadline")
@@ -352,7 +376,7 @@ def test_verify_errors_arrive_in_record_order(monkeypatch, tmp_path, capsys):
 )
 @pytest.mark.usefixtures("deadline")
 def test_worker_errors_come_back_through_the_pool(monkeypatch, capsys, error, stderr):
-    def fail(family):
+    def fail(family, below=None):
         raise error
 
     monkeypatch.setattr(verify, "polarization_module", fail)
@@ -382,21 +406,26 @@ def test_a_dead_workers_keys_are_summarised_inline(monkeypatch):
     _use_workers(monkeypatch, 1)
     inline = run_verify(["table:4"])[0]
     records, _ = verify._read_records(resolve_selectors(["table:4"]))
-    victim = list(verify.module_requests(records))[5]
+    # the first group of two modules, at ell = 2 and 3
+    groups = verify.module_groups(verify.module_requests(records))
+    victim = next(group for group in groups if len(group) == 2)
     parent = os.getpid()
     real = verify.summarise
 
-    def die_on_victim(key):
-        if key == victim and os.getpid() != parent:
+    def die_on_victim(group):
+        if group == victim and os.getpid() != parent:
             os._exit(3)
-        return real(key)
+        return real(group)
 
     monkeypatch.setattr(verify, "summarise", die_on_victim)
     _use_workers(monkeypatch, 2)
     built = _count_builds(monkeypatch)
     assert run_verify(["table:4"])[0] == inline
-    # the dead worker's keys, the victim among them, were built here
-    assert list(victim[0]) in [f.text for f in built]
+    # the dead worker's modules, the victim's among them, were built here,
+    # each once
+    keys = [(tuple(f.text), f.ring.n, f.ring.ell) for f in built]
+    assert len(set(keys)) == len(keys)
+    assert {(gens, n, ell) for gens, _, n, ell in victim} <= set(keys)
     assert_no_child_left()
 
 
@@ -442,6 +471,26 @@ def test_p2_shift_checks_every_n(monkeypatch, tmp_path):
         run_verify(["experiments"])
 
 
+@pytest.mark.parametrize(
+    "record_id", ["experiments/deg4_collapse_point", "experiments/p2_shift/d3"]
+)
+def test_one_row_records_refuse_other_ell_values(
+    monkeypatch, tmp_path, capsys, record_id
+):
+    records = json.loads(verify.fixture_text("experiments.json"))["records"]
+    rec = next(r for r in records if r["id"] == record_id)
+    _fixture_override(
+        monkeypatch, tmp_path, "experiments.json", [dict(rec, ell_values=[2, 3])]
+    )
+    assert main(["verify", "--set", "experiments"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "usage error: record %s: a %s record is checked at ell=1 only, not at "
+        "ell_values [2, 3]\n" % (record_id, rec["kind"])
+    )
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -479,6 +528,24 @@ def test_main_usage_errors(capsys):
         assert err.startswith("usage error:") and "cap 30" in err
 
 
+@pytest.mark.parametrize(
+    "gen, refused",
+    [
+        # e_15 = m_(1^15): C(30, 15) terms
+        ("e[15]", "m[%s] has 155117520" % ",".join(["1"] * 15)),
+        # h_12 is the sum of every m_mu, mu |- 12; the first too large
+        ("h[12]", "m[9,1,1,1] has 109620"),
+    ],
+)
+def test_main_refuses_a_generator_too_large_to_expand(gen, refused, capsys):
+    assert main(["hilbert", "--gen=" + gen, "--n", "30", "--ell", "1"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "usage error: %s terms in 30 variables, more than the 100000 a "
+        "generator may have\n" % refused,
+    )
+
+
 def test_main_threads_flag_is_a_usage_error(capsys):
     code = main(
         ["hilbert", "--gen", "e[2]", "--n", "3", "--threads", "4", "--format", "json"]
@@ -497,6 +564,36 @@ def test_main_reports_running_out_of_memory(monkeypatch, capsys):
         "",
         "error: out of memory (the module is too large for this machine)\n",
     )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_json_text_is_indented_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobenius", "--gen=m[3,1]", "--n", "5", "--ell", "2"],
+        ["exceptions", "--n", "5", "--point=4,-3,4"],
+    ],
+)
+def test_a_json_job_leaves_no_reference_cycle(argv, capsys):
+    # json.dumps(indent=2) left 33 objects in a cycle per job
+    main(argv + ["--format", "json"])
+    gc.collect()
+    assert main(argv + ["--format", "json"]) == 0
+    assert gc.collect() == 0
+    capsys.readouterr()
 
 
 def test_errors_survive_pickling():
@@ -602,3 +699,13 @@ GOLDEN_JOBS = {
 def test_main_json_matches_golden_document(name, capsys):
     assert main(GOLDEN_JOBS[name] + ["--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / (name + ".json")).read_text()
+
+
+# polmod verify --set all --format json > tests/golden/verify-all.json
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("deadline")
+def test_verify_all_matches_golden_document(workers, monkeypatch, capsys):
+    _use_workers(monkeypatch, workers)
+    assert main(["verify", "--set", "all", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify-all.json").read_text()
+    assert_no_child_left()

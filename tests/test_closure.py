@@ -13,6 +13,7 @@ from polmod import (
     polarization_module,
     ring,
 )
+from polmod.cli.expressions import parse_generator_args
 from polmod.cli.main import main
 
 from conftest import random_nonzero_homogeneous, seeded
@@ -156,6 +157,29 @@ def test_polarization_module_needs_a_generator_family():
     span.insert(ring(1, 2).var(1, 1))
     with pytest.raises(TypeError):
         polarization_module(span)
+
+
+def test_a_seed_of_another_ring_or_other_generators_is_refused():
+    def family(ell, n, texts=("m[2,1]",)):
+        polys = parse_generator_args(list(texts), ring(ell, n))
+        return GeneratorFamily(polys, text=list(texts))
+
+    above = family(3, 3)
+    below = polarization_module(family(2, 3))
+    assert polarization_module(above, below) == polarization_module(above)
+    refused = r"below must be the module of the generators \['m\[2,1\]'\] at ell=2, n=3"
+    others = (family(1, 3), family(3, 3), family(2, 4), family(2, 3, ["m[3]"]))
+    for other in others:
+        with pytest.raises(ValueError, match=refused):
+            polarization_module(above, polarization_module(other))
+    # a family without generator texts cannot be matched with a seed
+    with pytest.raises(ValueError, match="the generators \\[\\] at ell=2"):
+        polarization_module(GeneratorFamily(above.polys), below)
+    # no module lies below ell = 1
+    with pytest.raises(ValueError, match="at ell=0, n=3"):
+        polarization_module(family(1, 3), below)
+    with pytest.raises(TypeError):
+        polarization_module(above, below.components)
 
 
 # Applications, insert attempts (generator inserts included) and insertions

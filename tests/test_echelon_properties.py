@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from polmod import (
     GeneratorFamily,
     GradedSpan,
+    Poly,
     QQ,
     polarization_module,
     ring,
@@ -176,6 +177,32 @@ def test_module_components_are_canonical(family):
     r, degree, polys = family
     module = polarization_module(GeneratorFamily(polys, mode="orbit"))
     for comp in module.components.values():
+        assert_canonical(comp)
+
+
+def one_row_up(polys):
+    """polys in the ring with one more row, as the polynomials free of the
+    new last row."""
+    low = polys[0].ring
+    high = ring(low.ell + 1, low.n)
+    pad = (0,) * low.n
+    def up(code):
+        return high.pack(low.unpack(code) + pad)
+
+    return [Poly(high, {up(code): q for code, q in f.terms.items()}) for f in polys]
+
+
+@PROPERTY_SETTINGS
+@given(families(max_polys=2).filter(lambda family: family[0].ell < 4))
+def test_module_seeded_one_row_down_is_the_module(family):
+    # at ell = 2..4, the closure started from the module at ell - 1
+    r, degree, polys = family
+    text = [str(f) for f in polys]
+    below = polarization_module(GeneratorFamily(polys, text=text))
+    above = GeneratorFamily(one_row_up(polys), text=text)
+    seeded = polarization_module(above, below)
+    assert seeded == polarization_module(above)
+    for comp in seeded.components.values():
         assert_canonical(comp)
 
 

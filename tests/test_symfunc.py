@@ -20,6 +20,8 @@ from polmod.symfunc import (
     jacobi_trudi_h,
     kostka,
     mn_character,
+    monomial_poly,
+    monomial_term_count,
     multi_elementary,
     partitions_of,
     power_sum_poly,
@@ -364,3 +366,11 @@ def test_sym_series_rendering():
     assert "2 s[2]" in text
     assert "s[1,1]" in text
     assert str(SymSeries("homogeneous", {})) == "0"
+
+
+def test_monomial_term_count_counts_the_expanded_terms():
+    for n in range(1, 7):
+        for k in range(1, 7):
+            for lam in partitions_of(k):
+                count = monomial_term_count(lam, n)
+                assert count == len(monomial_poly(lam, 1, n).terms), (lam, n)
