@@ -16,7 +16,7 @@ from .errors import ConsistencyError, NonHomogeneous, NotSymmetric, PolmodError,
 from .frobenius import FrobeniusSeries, component_character, component_isotype, frobenius_series, hilbert_series, hilbert_series_h, oracle_series
 from .polyring import Poly, PolyRing, ring
 from .rationals import QQ
-from .symfunc import SymSeries, diag_power_sum, expand_basis, h_to_schur, mn_character, multi_elementary, schur_to_h, to_schur
+from .symfunc import SymSeries, expand_basis, h_to_schur, mn_character, schur_to_h, to_schur
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "component_isotype",
     "det_T",
     "det_identity_check",
-    "diag_power_sum",
     "exception_equation",
     "expand_basis",
     "frobenius_series",
@@ -69,7 +68,6 @@ __all__ = [
     "hilbert_series_h",
     "is_n_exception",
     "mn_character",
-    "multi_elementary",
     "oracle_series",
     "polarization_module",
     "rank_lower_bound_check",

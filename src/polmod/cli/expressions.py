@@ -15,8 +15,9 @@ Grammar for a single polynomial argument:
 A TAG atom is the named symmetric function of the first-row variables
 (products over parts for e, h, p). An 'x' atom is one matrix variable
 x[row, column]. A '^' exponent may not exceed the packed-exponent cap 30
-(MAX_TOTAL_DEGREE), even on a rational, so 2^31 is refused. Whitespace is
-free.
+(MAX_TOTAL_DEGREE), even on a rational, so 2^31 is refused. A '*' or '^'
+whose factors' term counts multiply past MAX_TERM_PRODUCTS (t^k for a
+t-term base to the k) is refused before it is expanded. Whitespace is free.
 
 Whole-argument family forms (no arithmetic around them):
 
@@ -34,6 +35,11 @@ from ..errors import UsageError
 from ..polyring import MAX_TOTAL_DEGREE
 from ..rationals import QQ
 from ..symfunc import expand_basis
+
+# The most term products one '*' or '^' may take; 100,000 take about half a
+# second. Every product the bundled tables, tests and benchmark read takes at
+# most 7,776 (e[1]^5 at n=6).
+MAX_TERM_PRODUCTS = 100_000
 
 _TOKEN_RE = re.compile(r"(\d+|[A-Za-z]+|\[|\]|\^|\*|\+|-|,|/)")
 _TAGS = ("m", "e", "h", "p", "s")
@@ -107,7 +113,9 @@ class _Parser:
         f = self.factor()
         while self.peek() == "*":
             self.take()
-            f = f * self.factor()
+            g = self.factor()
+            self.check_product(len(f.terms) * len(g.terms))
+            f = f * g
         return f
 
     def factor(self):
@@ -120,8 +128,16 @@ class _Parser:
                     "exponent %d in generator %r is above the packed-exponent "
                     "cap %d" % (k, self.text, MAX_TOTAL_DEGREE)
                 )
+            self.check_product(len(f.terms) ** k)
             f = f ** k
         return f
+
+    def check_product(self, count):
+        if count > MAX_TERM_PRODUCTS:
+            raise UsageError(
+                "a product in generator %r takes %d term products, more than "
+                "the %d one product may take" % (self.text, count, MAX_TERM_PRODUCTS)
+            )
 
     def integer(self):
         tok = self.take()

@@ -156,30 +156,35 @@ Per column, with d_i = d/dx[i,j]: [x2 d2^2, x2 d1^2] = 2 x2 d2 d1^2,
    every d/dx[1,j] = sigma D_1 sigma with sigma = (1 j).
 
 Seeding from the module one row down. At ell >= 2, polarization_module
-(family, below) starts the worklist from W' = W(ell - 1), the module of the
-same generators in the ring with ell - 1 rows, in place of the generator
-rows. Row ell is the lowest block of a code, so shifting every code up by
+(family, below) stores the rows of W' = W(ell - 1), the module of the same
+generators in the ring with ell - 1 rows, in place of the generator rows.
+Row ell is the lowest block of a code, so shifting every code up by
 EXP_BITS * n embeds that ring's polynomials as the ones free of row ell,
-keeps the monomial order, and so keeps every reduced echelon row one. The
-seeded rows are queued with a mask that skips every operator except the
-lowering E[ell,ell-1]^(1). The fixpoint is still M = M(ell):
+keeps the monomial order, and so keeps every reduced echelon row one. No
+seeded row is queued. Instead the lowering E = E[ell,ell-1]^(1) is applied
+to each seeded row t, and each image that insert stores is queued with E's
+skip mask: these are the first snapshots, s = a E t + (sum of images stored
+before s). W, now the span of W' and the snapshots, is still M = M(ell):
 
 - W' lies in M. The partials and polarizations in rows 1..ell-1 and the
   column action map polynomials free of row ell to polynomials free of row
   ell, acting on them as in the smaller ring. M contains F and is closed
   under them, and W' is the smallest space with those properties.
-- A W' lies in W' for every applied operator A other than
-  E[ell,ell-1]^(1). D_1, E[1,1]^(p), every E[i,k]^(1) with i, k < ell and
-  every tau_j act on W' as in the smaller ring, where W' is closed under
-  them by the module theorem at ell - 1. The raising E[ell-1,ell]^(1) kills
-  every polynomial free of row ell.
+- A W' lies in W' for every applied operator A other than E. D_1,
+  E[1,1]^(p), every E[i,k]^(1) with i, k < ell and every tau_j act on W'
+  as in the smaller ring, where W' is closed under them by the module
+  theorem at ell - 1. The raising E[ell-1,ell]^(1) kills every polynomial
+  free of row ell.
+- E W' lies in W: E t is either a stored image, up to the scalar a and
+  earlier images, or reduces to zero against the images stored before it.
 
-So a seeded snapshot s is a base case of each induction above: every
-operator A it skips gives A s in W' (in W), and the lowering
-E[ell,ell-1]^(1) is applied to it. Step 1 still holds, since no other row
-skips a lowering. W, spanned by W' and images of it under operators that
-keep M, lies in M; and W contains F, which lies in W', so the converse
-argument goes through unchanged.
+So a seeded row t is a base case of each induction above: t is in W, and
+A t is in W for every applied A. Where an induction step reads "A t is in
+W" for the row t a snapshot was created from, a first snapshot's t is a
+seeded row, and that holds. Step 1 still holds, since every lowering maps
+W' into W and no snapshot skips one. W, spanned by W' and images of it
+under operators that keep M, lies in M; and W contains F, which lies in W',
+so the converse argument goes through unchanged.
 """
 
 from __future__ import annotations
@@ -531,20 +536,11 @@ def _check_span_stable(family):
 
 
 # operator kinds a snapshot may skip, as bits of the mask in _operators; the
-# column transposition (j j+1) has the bit _TRANSPOSITION << (j - 1), and
-# the lowerings other than E[ell,ell-1]^(1) the bit above those. Seeded rows
-# skip every kind: every operator but E[ell,ell-1]^(1), whose kind is 0.
+# column transposition (j j+1) has the bit _TRANSPOSITION << (j - 1).
 _ROW1_PARTIAL = 1
 _ROW1_SELF_POLARIZATIONS = 2
 _RAISING = 4
 _TRANSPOSITION = 8
-_SEEDED = -1
-
-
-def _lowering_bit(n):
-    """The kind bit of the lowerings other than E[ell,ell-1]^(1): the bit
-    above the transpositions' bits."""
-    return _TRANSPOSITION << (n - 1)
 
 
 def _operators(r, degree):
@@ -570,21 +566,18 @@ def _operators(r, degree):
     fixpoint is S_n-stable). The Euler operators E[k,k]^(1) only scale a
     component.
 
-    kind is the operator's bit (0 for the lowering E[ell,ell-1]^(1) into
-    the last row, which no row skips; the other lowerings share the bit
-    above the transpositions', which only the seeded rows skip); skip
-    holds the bits of the operators that the rows it creates are not
-    given. A lowering E[k+1,k]^(1) skips the raising E[j,j+1]^(1), whose
-    commutator with it acts on each component as a scalar. Every
-    E[i,k]^(1) skips the operators that commute with it: D_1 for i != 1,
-    E[1,1]^(p) for i, k != 1, and every tau_j. E[1,1]^(p) skips every
-    tau_j too, D_1 skips the tau_j with j >= 2, which fix column 1, and
-    tau_j skips itself (tau_j^2 = 1) and every later tau_{j'} that commutes
-    with it (j' >= j + 2).
+    kind is the operator's bit (0 for the lowering E[k+1,k]^(1), which is
+    never skipped); skip holds the bits of the operators that the rows it
+    creates are not given. A lowering E[k+1,k]^(1) skips the raising
+    E[j,j+1]^(1), whose commutator with it acts on each component as a
+    scalar. Every E[i,k]^(1) skips the operators that commute with it:
+    D_1 for i != 1, E[1,1]^(p) for i, k != 1, and every tau_j. E[1,1]^(p)
+    skips every tau_j too, D_1 skips the tau_j with j >= 2, which fix
+    column 1, and tau_j skips itself (tau_j^2 = 1) and every later
+    tau_{j'} that commutes with it (j' >= j + 2).
     """
     n = r.n
-    lowering = _lowering_bit(n)
-    taus = lowering - _TRANSPOSITION
+    taus = (_TRANSPOSITION << (n - 1)) - _TRANSPOSITION
     d1 = degree[0]
     ops = []
     if d1:
@@ -597,11 +590,8 @@ def _operators(r, degree):
                 lowered = list(degree)
                 lowered[k - 1] -= 1
                 lowered[i - 1] += 1
-                if i < k:
-                    kind, skip = _RAISING, taus
-                else:
-                    kind = lowering if i < r.ell else 0
-                    skip = taus | _RAISING
+                kind = _RAISING if i < k else 0
+                skip = taus if kind else taus | _RAISING
                 if i != 1:
                     skip |= _ROW1_PARTIAL
                     if k != 1:
@@ -620,38 +610,34 @@ def _operators(r, degree):
     return ops
 
 
-def _close(span, skipped):
-    """Worklist closure of a span under the operators of _operators, whose
-    rows are queued first with the skip mask `skipped`.
+def _close(span, queue):
+    """Worklist closure of a span under the operators of _operators, started
+    from the (degree, row, skip mask) entries of queue, stored rows of the
+    span.
 
-    Pending rows are processed in increasing (|d|, d); every successful
-    insertion queues the new row itself, with the skip mask of the operator
-    that created it. No stored row is edited until the worklist is empty, so
-    the queued rows are the stored rows, and they span the final space; the
-    closure argument (module docstring) goes through unchanged. Then every
-    component is brought to reduced form by Component.back_substitute.
-    A transposition moves no coefficient, so its candidate is the source
-    dict with its codes swapped in one comprehension, and it is dropped when
-    it equals the source.
+    Pending rows are processed in increasing (|d|, d), rows of one degree in
+    the order they were queued; every successful insertion queues the new
+    row itself, with the skip mask of the operator that created it. No
+    stored row is edited until the worklist is empty, so the queued rows are
+    the stored rows, and the closure argument (module docstring) goes
+    through unchanged. Then every component is brought to reduced form by
+    Component.back_substitute. A transposition moves no coefficient, so its
+    candidate is the source dict with its codes swapped in one
+    comprehension, and it is dropped when it equals the source.
     """
-    r = span.ring
-    lowering = _lowering_bit(r.n)
-    heap = []
-    seq = 0
-    for d in sorted(span.components, key=lambda d: (sum(d), d)):
-        for row in span.components[d].rows:
-            heapq.heappush(heap, (sum(d), d, seq, row, skipped))
-            seq += 1
+    heap = [(sum(d), d, seq, row, skip) for seq, (d, row, skip) in enumerate(queue)]
+    heapq.heapify(heap)
+    seq = len(heap)
 
     ops = {}
     while heap:
         _, d, _, terms, skipped = heapq.heappop(heap)
         if d not in ops:
-            ops[d] = _operators(r, d)
+            ops[d] = _operators(span.ring, d)
         for dd, op, kind, skip in ops[d]:
             if kind & skipped:
                 continue
-            if _TRANSPOSITION <= kind < lowering:
+            if kind >= _TRANSPOSITION:
                 keep, left, right = op
                 out = {
                     c & keep | (c & left) >> EXP_BITS | (c & right) << EXP_BITS: v
@@ -677,8 +663,9 @@ def polarization_module(family, below=None):
     generators: the joint closure fixpoint started from the generators.
 
     below, if given, is the module of the same generator texts in
-    ring(ell - 1, n); the closure then starts from its rows, embedded, in
-    place of the generators (module docstring, "Seeding").
+    ring(ell - 1, n); its rows, embedded, are then stored in place of the
+    generators, and the closure starts from their images under
+    E[ell,ell-1]^(1) (module docstring, "Seeding").
     """
     if not isinstance(family, GeneratorFamily):
         raise TypeError("expected a GeneratorFamily")
@@ -687,7 +674,9 @@ def polarization_module(family, below=None):
     if below is None:
         for f, d in zip(family.polys, family.degrees):
             span._insert(d, f.terms)
-        return _close(span, 0)
+        comps = span.components
+        queue = [(d, row, 0) for d in span.sorted_degrees() for row in comps[d].rows]
+        return _close(span, queue)
     if not isinstance(below, GradedSpan):
         raise TypeError("below must be a GradedSpan")
     if (
@@ -700,8 +689,20 @@ def polarization_module(family, below=None):
             "below must be the module of the generators %s at ell=%d, n=%d"
             % (family.text, r.ell - 1, r.n)
         )
-    shift = EXP_BITS * r.n
     for d, comp in below.components.items():
         if comp.dimension:
-            span.components[d + (0,)] = comp.shifted(d + (0,), shift)
-    return _close(span, _SEEDED)
+            span.components[d + (0,)] = comp.shifted(d + (0,), EXP_BITS * r.n)
+    queue = []
+    for d in span.sorted_degrees():
+        # E[ell,ell-1]^(1) is the one operator on V_d, d_ell = 0, whose
+        # target has d_ell > 0 (there is none when d_(ell-1) = 0)
+        for dd, op, _, skip in _operators(r, d):
+            if not dd[-1]:
+                continue
+            for row in span.components[d].rows:
+                out = apply_operator(row, op)
+                if out:
+                    image = span.component(dd).insert(out)
+                    if image is not None:
+                        queue.append((dd, image, skip))
+    return _close(span, queue)

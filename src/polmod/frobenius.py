@@ -27,9 +27,9 @@ from .polyring import Permutation
 from .rationals import QQ, as_int, rational_to_json, rational_to_string
 from .symfunc import (
     SymSeries,
-    character_table,
     cycle_types,
     is_partition,
+    mn_character,
     partitions_of,
     schur_coefficients,
     schur_dimension,
@@ -75,10 +75,9 @@ def component_character(module, d, images):
 def _weighted_characters(n):
     """((lam, (class size * chi^lam(class) for each cycle type)), ...) over
     the partitions lam of n, classes in cycle_types(n) order."""
-    chi = character_table(n)
     cts = cycle_types(n)
     return tuple(
-        (lam, tuple(ct.size * chi[(lam, ct.parts)] for ct in cts))
+        (lam, tuple(ct.size * mn_character(lam, ct.parts) for ct in cts))
         for lam in partitions_of(n)
     )
 

@@ -197,16 +197,6 @@ def mn_character(lam, mu):
     return _mn(_beta_set(lam), mu_sorted)
 
 
-@lru_cache(maxsize=None)
-def character_table(n):
-    """{(lam, mu.parts): chi^lam(mu)} for all lam, mu of n."""
-    table = {}
-    for lam in partitions_of(n):
-        for ct in cycle_types(n):
-            table[(lam, ct.parts)] = mn_character(lam, ct.parts)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # concrete basis expansions in one row of the variable matrix
 
@@ -339,55 +329,6 @@ def expand_basis(basis, lam, row, n, ell=None):
     if tag == "s":
         return schur_row_poly(lam, row, n, ell)
     raise UsageError("unknown basis tag %r" % (basis,))
-
-
-# ---------------------------------------------------------------------------
-# diagonal (multirow) symmetric polynomials
-
-
-def diag_power_sum(d, n):
-    """sum_j prod_i x[i,j]^{d_i}: the diagonal power sum of multidegree d."""
-    d = tuple(d)
-    if sum(d) < 1:
-        raise UsageError("diagonal power sum needs |d| >= 1")
-    r = ring(len(d), n)
-    out = {}
-    for j in range(1, n + 1):
-        code = 0
-        for i, di in enumerate(d, start=1):
-            if di:
-                code += di << r.shifts[r.cell(i, j)]
-        out[code] = out.get(code, QQ(0)) + 1
-    return r.from_terms(out)
-
-
-def multi_elementary(d, n):
-    """Multidegree-d coefficient of prod_j (1 + sum_i t_i x[i,j]).
-
-    Explicitly: choose a column set B of size |d| and color its columns with
-    row labels, d_i columns of color i; each choice contributes the product
-    of the selected variables.
-    """
-    d = tuple(d)
-    ell = len(d)
-    r = ring(ell, n)
-    total = sum(d)
-    if total > n:
-        return r.zero()
-    if total == 0:
-        return r.one()
-    colors = []
-    for i, di in enumerate(d, start=1):
-        colors.extend([i] * di)
-    colorings = list(_orderings(tuple(colors)))
-    out = {}
-    for cols in combinations(range(1, n + 1), total):
-        for coloring in colorings:
-            code = 0
-            for j, i in zip(cols, coloring):
-                code += 1 << r.shifts[r.cell(i, j)]
-            out[code] = out.get(code, QQ(0)) + 1
-    return r.from_terms(out)
 
 
 # ---------------------------------------------------------------------------

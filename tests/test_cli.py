@@ -39,7 +39,7 @@ from polmod.cli.runner import (
     parse_point,
 )
 from polmod import errors
-from polmod.cli import runner, verify
+from polmod.cli import expressions, runner, verify
 from polmod.cli.verify import resolve_selectors, run_verify
 
 
@@ -544,6 +544,35 @@ def test_main_refuses_a_generator_too_large_to_expand(gen, refused, capsys):
         "usage error: %s terms in 30 variables, more than the 100000 a "
         "generator may have\n" % refused,
     )
+
+
+@pytest.mark.parametrize(
+    "gen, count",
+    [
+        # e_1 has 30 terms; e_1^15 has C(44, 15) of them
+        ("e[1]^15", 30**15),
+        # 2 * e_1 is expanded; the product with e_3 would take C(30, 3) * 30
+        ("2*e[1]*e[3]", 4060 * 30),
+    ],
+)
+def test_main_refuses_a_product_too_large_to_expand(gen, count, capsys):
+    assert main(["hilbert", "--gen=" + gen, "--n", "30", "--ell", "1"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "usage error: a product in generator %r takes %d term products, more "
+        "than the 100000 one product may take\n" % (gen, count),
+    )
+
+
+def test_a_product_at_the_term_product_cap_is_expanded(monkeypatch, capsys):
+    monkeypatch.setattr(expressions, "MAX_TERM_PRODUCTS", 3 * 3)
+    argv = ["hilbert", "--n", "3", "--ell", "1", "--format", "json"]
+    for gen in ("e[1]^2", "e[1]*e[1]"):
+        assert main(argv + ["--gen=" + gen]) == 0
+    capsys.readouterr()
+    # e_1^2 has 6 terms in 3 variables
+    assert main(argv + ["--gen=e[1]^2*e[1]"]) == 1
+    assert "takes 18 term products, more than the 9" in capsys.readouterr().err
 
 
 def test_main_threads_flag_is_a_usage_error(capsys):

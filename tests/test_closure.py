@@ -13,6 +13,7 @@ from polmod import (
     polarization_module,
     ring,
 )
+from polmod.cli import verify
 from polmod.cli.expressions import parse_generator_args
 from polmod.cli.main import main
 
@@ -196,8 +197,9 @@ CANDIDATE_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, counts", CANDIDATE_COUNTS)
-def test_closure_candidate_sequence_is_pinned(argv, counts, monkeypatch, capsys):
+def _count_closure_work(monkeypatch):
+    """A list [applications, insert attempts, insertions] that counts the
+    closure's work from now on."""
     seen = [0, 0, 0]
     apply_operator, insert = closure.apply_operator, closure.Component.insert
 
@@ -213,6 +215,32 @@ def test_closure_candidate_sequence_is_pinned(argv, counts, monkeypatch, capsys)
 
     monkeypatch.setattr(closure, "apply_operator", counted_apply)
     monkeypatch.setattr(closure.Component, "insert", counted_insert)
+    return seen
+
+
+@pytest.mark.parametrize("argv, counts", CANDIDATE_COUNTS)
+def test_closure_candidate_sequence_is_pinned(argv, counts, monkeypatch, capsys):
+    seen = _count_closure_work(monkeypatch)
     assert main(argv + ["--format", "json"]) == 0
     capsys.readouterr()
+    assert tuple(seen) == counts
+
+
+# The same counts over verify groups (module_groups), whose modules above
+# the first are seeded with the one below: update them only with the
+# operator set, the skip rules or the seeding.
+SEEDED_COUNTS = [
+    # table:4's m[2,2] at n = 6
+    (tuple((("m[2,2]",), "orbit", 6, ell) for ell in (2, 3)), (345, 324, 243)),
+    # a chain of three seeded modules
+    (tuple((("vandermonde",), "orbit", 4, ell) for ell in (1, 2, 3, 4)), (1926, 1924, 996)),
+]
+
+
+@pytest.mark.parametrize("keys, counts", SEEDED_COUNTS, ids=["m22-n6", "vandermonde-n4"])
+def test_seeded_closure_work_is_pinned(keys, counts, monkeypatch):
+    seen = _count_closure_work(monkeypatch)
+    summaries = verify.summarise(keys)
+    for hs, frob in summaries.values():
+        assert not isinstance(hs, Exception) and not isinstance(frob, Exception)
     assert tuple(seen) == counts
