@@ -11,7 +11,7 @@ The exceptions layer is imported on first use of it or of one of the names
 it exports here, so programs that never classify do not load it.
 """
 
-from .closure import GeneratorFamily, GradedSpan, polarization_module
+from .closure import GeneratorFamily, GradedSpan, lift, polarization_module
 from .errors import ConsistencyError, NonHomogeneous, NotSymmetric, PolmodError, UsageError, ZeroPolynomial
 from .frobenius import FrobeniusSeries, component_character, component_isotype, frobenius_series, hilbert_series, hilbert_series_h, oracle_series
 from .polyring import Poly, PolyRing, ring
@@ -67,6 +67,7 @@ __all__ = [
     "hilbert_series",
     "hilbert_series_h",
     "is_n_exception",
+    "lift",
     "mn_character",
     "oracle_series",
     "polarization_module",

@@ -16,8 +16,9 @@ A TAG atom is the named symmetric function of the first-row variables
 (products over parts for e, h, p). An 'x' atom is one matrix variable
 x[row, column]. A '^' exponent may not exceed the packed-exponent cap 30
 (MAX_TOTAL_DEGREE), even on a rational, so 2^31 is refused. A '*' or '^'
-whose factors' term counts multiply past MAX_TERM_PRODUCTS (t^k for a
-t-term base to the k) is refused before it is expanded. Whitespace is free.
+whose factors' term counts multiply past symfunc.MAX_TERM_PRODUCTS (t^k for
+a t-term base to the k) is refused before it is expanded, and so is each
+step of an atom's product over parts. Whitespace is free.
 
 Whole-argument family forms (no arithmetic around them):
 
@@ -34,12 +35,7 @@ from itertools import combinations, combinations_with_replacement
 from ..errors import UsageError
 from ..polyring import MAX_TOTAL_DEGREE
 from ..rationals import QQ
-from ..symfunc import expand_basis
-
-# The most term products one '*' or '^' may take; 100,000 take about half a
-# second. Every product the bundled tables, tests and benchmark read takes at
-# most 7,776 (e[1]^5 at n=6).
-MAX_TERM_PRODUCTS = 100_000
+from ..symfunc import check_term_products, expand_basis
 
 _TOKEN_RE = re.compile(r"(\d+|[A-Za-z]+|\[|\]|\^|\*|\+|-|,|/)")
 _TAGS = ("m", "e", "h", "p", "s")
@@ -133,11 +129,7 @@ class _Parser:
         return f
 
     def check_product(self, count):
-        if count > MAX_TERM_PRODUCTS:
-            raise UsageError(
-                "a product in generator %r takes %d term products, more than "
-                "the %d one product may take" % (self.text, count, MAX_TERM_PRODUCTS)
-            )
+        check_term_products("a product in generator %r" % self.text, count)
 
     def integer(self):
         tok = self.take()

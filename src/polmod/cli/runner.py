@@ -33,8 +33,7 @@ def build_module(gen_args, n, ell, full_mu=False):
     if not gen_args:
         raise UsageError("at least one --gen is required")
     r, polys = _resolve_ring(gen_args, n, ell, full_mu)
-    family = GeneratorFamily(polys, mode="orbit", text=gen_args)
-    return polarization_module(family)
+    return polarization_module(GeneratorFamily(polys, mode="orbit"))
 
 
 def sym_to_json(series):
@@ -86,6 +85,7 @@ def hilbert_job(gen_args, n, ell, full_mu=False):
 def basis_job(gen_args, n, ell, full_mu=False):
     module = build_module(gen_args, n, ell, full_mu)
     doc = module.to_json_dict()
+    doc["generators"] = list(gen_args)
 
     def render():
         lines = [

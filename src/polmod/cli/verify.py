@@ -8,8 +8,7 @@ any mismatch, 'report' records only describe what the engine found.
 Each module the records read is built once per run, in a forked worker
 where it can be, and summarised by both of its series (Session). The
 modules of one generator list, mode and n form a group, built in one
-process by increasing ell, each module seeding the closure of the next
-(summarise).
+process by increasing ell, each module lifted to the next (summarise).
 
 The classification layer (polmod.exceptions) is imported inside the
 checks that read it, so the module tables do not load it.
@@ -20,7 +19,7 @@ import os
 import pickle
 from importlib import resources
 
-from ..closure import GeneratorFamily, polarization_module
+from ..closure import GeneratorFamily, lift, polarization_module
 from ..errors import UsageError
 from ..frobenius import FrobeniusSeries, frobenius_series, hilbert_series
 from ..polyring import ring
@@ -125,19 +124,20 @@ def summarise(group):
 
     Each entry is the series or the exception computing it raised. A
     failure to build a module is both entries, as a record asking for
-    either would meet it. A module built without error at ell - 1 seeds
-    the closure at ell (polarization_module's below).
+    either would meet it. A module built without error at ell - 1 is
+    lifted to ell (closure.lift); only a key that starts a chain of
+    consecutive ell reads its generators.
     """
     out = {}
     below = None
     for key in group:
         generators, mode, n, ell = key
-        if below is not None and below.ell != ell - 1:
-            below = None
         try:
-            polys = parse_generator_args(list(generators), ring(ell, n))
-            family = GeneratorFamily(polys, mode=mode, text=list(generators))
-            module = polarization_module(family, below)
+            if below is not None and below.ell == ell - 1:
+                module = lift(below)
+            else:
+                polys = parse_generator_args(list(generators), ring(ell, n))
+                module = polarization_module(GeneratorFamily(polys, mode=mode))
             hs = hilbert_series(module)
         except Exception as exc:
             out[key] = exc, exc

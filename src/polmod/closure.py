@@ -155,10 +155,10 @@ Per column, with d_i = d/dx[i,j]: [x2 d2^2, x2 d1^2] = 2 x2 d2 d1^2,
    So W is closed under every tau_j, hence S_n-stable, and so closed under
    every d/dx[1,j] = sigma D_1 sigma with sigma = (1 j).
 
-Seeding from the module one row down. At ell >= 2, polarization_module
-(family, below) stores the rows of W' = W(ell - 1), the module of the same
-generators in the ring with ell - 1 rows, in place of the generator rows.
-Row ell is the lowest block of a code, so shifting every code up by
+Seeding from the module one row down. lift(W') takes W' = W(ell - 1), the
+module of some generators F in the ring with ell - 1 rows (the output of
+polarization_module or of lift), and stores its rows in place of the
+generator rows; F itself is never read. Row ell is the lowest block of a code, so shifting every code up by
 EXP_BITS * n embeds that ring's polynomials as the ones free of row ell,
 keeps the monomial order, and so keeps every reduced echelon row one. No
 seeded row is queued. Instead the lowering E = E[ell,ell-1]^(1) is applied
@@ -365,10 +365,9 @@ def _integer_terms(terms):
 class GradedSpan:
     """Direct sum of graded components with exact span arithmetic."""
 
-    def __init__(self, ell, n, generators_text=None):
+    def __init__(self, ell, n):
         self.ring = ring(ell, n)
         self.components = {}
-        self.generators_text = list(generators_text or [])
 
     @property
     def ell(self):
@@ -468,7 +467,6 @@ class GradedSpan:
         return {
             "n": self.n,
             "ell": self.ell,
-            "generators": list(self.generators_text),
             "dimension": self.total_dimension(),
             "components": comps,
         }
@@ -489,7 +487,7 @@ class GeneratorFamily:
     is rejected.
     """
 
-    def __init__(self, polys, mode="orbit", text=None):
+    def __init__(self, polys, mode="orbit"):
         polys = [f for f in polys if f is not None]
         if not polys:
             raise UsageError("empty generator family")
@@ -507,7 +505,6 @@ class GeneratorFamily:
                 raise UsageError("generator %s is not homogeneous" % f) from None
             self.polys.append(f)
         self.mode = mode
-        self.text = list(text or [])
         if mode == "verbatim":
             _check_span_stable(self)
         elif mode != "orbit":
@@ -658,44 +655,36 @@ def _close(span, queue):
     return span
 
 
-def polarization_module(family, below=None):
+def polarization_module(family):
     """The polarization module of a family, that of the column orbit of its
-    generators: the joint closure fixpoint started from the generators.
-
-    below, if given, is the module of the same generator texts in
-    ring(ell - 1, n); its rows, embedded, are then stored in place of the
-    generators, and the closure starts from their images under
-    E[ell,ell-1]^(1) (module docstring, "Seeding").
-    """
+    generators: the joint closure fixpoint started from the generators."""
     if not isinstance(family, GeneratorFamily):
         raise TypeError("expected a GeneratorFamily")
     r = family.ring
-    span = GradedSpan(r.ell, r.n, family.text)
-    if below is None:
-        for f, d in zip(family.polys, family.degrees):
-            span._insert(d, f.terms)
-        comps = span.components
-        queue = [(d, row, 0) for d in span.sorted_degrees() for row in comps[d].rows]
-        return _close(span, queue)
-    if not isinstance(below, GradedSpan):
-        raise TypeError("below must be a GradedSpan")
-    if (
-        r.ell < 2
-        or below.ring is not ring(r.ell - 1, r.n)
-        or not family.text
-        or below.generators_text != family.text
-    ):
-        raise ValueError(
-            "below must be the module of the generators %s at ell=%d, n=%d"
-            % (family.text, r.ell - 1, r.n)
-        )
-    for d, comp in below.components.items():
+    span = GradedSpan(r.ell, r.n)
+    for f, d in zip(family.polys, family.degrees):
+        span._insert(d, f.terms)
+    comps = span.components
+    queue = [(d, row, 0) for d in span.sorted_degrees() for row in comps[d].rows]
+    return _close(span, queue)
+
+
+def lift(module):
+    """The module of the same generators in ring(ell + 1, n), from a
+    polarization module at ell alone (module docstring, "Seeding"): its rows,
+    embedded, are stored, and the closure starts from their images under
+    E[ell+1,ell]^(1). Any other GradedSpan gives a span of no meaning."""
+    if not isinstance(module, GradedSpan):
+        raise TypeError("lift expects a GradedSpan")
+    r = ring(module.ell + 1, module.n)
+    span = GradedSpan(r.ell, r.n)
+    for d, comp in module.components.items():
         if comp.dimension:
             span.components[d + (0,)] = comp.shifted(d + (0,), EXP_BITS * r.n)
     queue = []
     for d in span.sorted_degrees():
-        # E[ell,ell-1]^(1) is the one operator on V_d, d_ell = 0, whose
-        # target has d_ell > 0 (there is none when d_(ell-1) = 0)
+        # E[ell+1,ell]^(1) is the one operator on V_d, d_(ell+1) = 0, whose
+        # target has d_(ell+1) > 0 (there is none when d_ell = 0)
         for dd, op, _, skip in _operators(r, d):
             if not dd[-1]:
                 continue

@@ -231,6 +231,21 @@ def _orderings(parts):
 # benchmark read has at most 840 in each m_lam.
 MAX_ROW_TERMS = 100_000
 
+# The most term products a '*' or '^' of a generator expression, or one step
+# of an e, h or p atom's product over parts, may take; 100,000 take about half
+# a second. The bundled tables, tests and benchmark take at most 7,776 in a
+# '*' or '^' (e[1]^5 at n=6) and 57,591 in a step (p[2,1,1,1,1,1,1] at n=9).
+MAX_TERM_PRODUCTS = 100_000
+
+
+def check_term_products(what, count):
+    """Refuse the product `what` if it takes more than MAX_TERM_PRODUCTS."""
+    if count > MAX_TERM_PRODUCTS:
+        raise UsageError(
+            "%s takes %d term products, more than the %d one product may take"
+            % (what, count, MAX_TERM_PRODUCTS)
+        )
+
 
 def monomial_term_count(lam, n):
     """The number of terms of m_lam in n variables, n!/((n - l)! prod m_i!)
@@ -301,10 +316,15 @@ def schur_row_poly(lam, row, n, ell=None):
     return Poly(r, terms)
 
 
-def _product_over_parts(lam, factor, row, n, ell):
+def _product_over_parts(tag, lam, factor, row, n, ell):
+    """The product of factor(part) over the parts of lam, each step checked
+    (check_term_products) before it is multiplied out."""
+    what = "%s[%s] in %d variables" % (tag, ",".join(map(str, lam)), n)
     out = ring(ell or row, n).one()
     for part in lam:
-        out = out * factor(part, row, n, ell)
+        f = factor(part, row, n, ell)
+        check_term_products(what, len(out.terms) * len(f.terms))
+        out = out * f
     return out
 
 
@@ -321,11 +341,11 @@ def expand_basis(basis, lam, row, n, ell=None):
     if tag == "m":
         return monomial_poly(lam, row, n, ell)
     if tag == "e":
-        return _product_over_parts(lam, elementary_poly, row, n, ell)
+        return _product_over_parts(tag, lam, elementary_poly, row, n, ell)
     if tag == "h":
-        return _product_over_parts(lam, homogeneous_poly, row, n, ell)
+        return _product_over_parts(tag, lam, homogeneous_poly, row, n, ell)
     if tag == "p":
-        return _product_over_parts(lam, power_sum_poly, row, n, ell)
+        return _product_over_parts(tag, lam, power_sum_poly, row, n, ell)
     if tag == "s":
         return schur_row_poly(lam, row, n, ell)
     raise UsageError("unknown basis tag %r" % (basis,))

@@ -29,6 +29,7 @@ from polmod.cli.expressions import (
 )
 from polmod.cli.main import _json_text, main
 from polmod.cli.runner import (
+    build_module,
     classify_job,
     equation_text,
     exceptions_job,
@@ -38,8 +39,8 @@ from polmod.cli.runner import (
     basis_job,
     parse_point,
 )
-from polmod import errors
-from polmod.cli import expressions, runner, verify
+from polmod import errors, symfunc
+from polmod.cli import runner, verify
 from polmod.cli.verify import resolve_selectors, run_verify
 
 
@@ -254,15 +255,33 @@ def _use_workers(monkeypatch, workers):
 
 
 def _count_builds(monkeypatch):
-    """The families of the modules this process builds from now on."""
+    """The keys (generators, mode, n, ell) of the modules this process
+    builds from now on, from generators or by lifting, in build order."""
     built = []
-    real = verify.polarization_module
+    made = {}  # id of each module built -> (module, key)
+    texts = []
+    parse, build, lift = verify.parse_generator_args, verify.polarization_module, verify.lift
 
-    def counting(family, below=None):
-        built.append(family)
-        return real(family, below)
+    def record(module, key):
+        made[id(module)] = module, key
+        built.append(key)
+        return module
 
-    monkeypatch.setattr(verify, "polarization_module", counting)
+    def parsing(args, r):
+        texts.append(tuple(args))
+        return parse(args, r)
+
+    def building(family):
+        module = build(family)
+        return record(module, (texts[-1], family.mode, module.n, module.ell))
+
+    def lifting(below):
+        generators, mode, n, ell = made[id(below)][1]
+        return record(lift(below), (generators, mode, n, ell + 1))
+
+    monkeypatch.setattr(verify, "parse_generator_args", parsing)
+    monkeypatch.setattr(verify, "polarization_module", building)
+    monkeypatch.setattr(verify, "lift", lifting)
     return built
 
 
@@ -284,7 +303,7 @@ def test_session_builds_a_module_once_per_key(monkeypatch, tmp_path):
     built = _count_builds(monkeypatch)
     doc, _ = run_verify(["homog"])
     assert doc["checked"] == 4 and doc["passed"] == 2
-    assert [f.text for f in built] == [["p[2]"], FAST_1["generators"]]
+    assert built == [(("p[2]",), "orbit", 3, 2), (tuple(FAST_1["generators"]), "orbit", 3, 3)]
 
     # a module no record asked for is built on its first request only,
     # and that build gives its Frobenius series too
@@ -293,20 +312,26 @@ def test_session_builds_a_module_once_per_key(monkeypatch, tmp_path):
     first = session.hilbert(["p[2]"], "orbit", 3, 2)
     second = session.hilbert(["p[2]"], "orbit", 3, 2)
     frob = session.frobenius(["p[2]"], "orbit", 3, 2)
-    assert len(built) == 1
-    assert frob == frobenius_series(verify.polarization_module(built[0]))
-    assert first == second == hilbert_series(verify.polarization_module(built[0]))
+    assert built == [(("p[2]",), "orbit", 3, 2)]
+    module = build_module(["p[2]"], 3, 2)
+    assert frob == frobenius_series(module)
+    assert first == second == hilbert_series(module)
 
 
 def test_a_group_seeds_each_module_with_the_one_below(monkeypatch):
     seeds = []
-    real = verify.polarization_module
+    build, lift = verify.polarization_module, verify.lift
 
-    def recording(family, below=None):
-        seeds.append((family.ring.ell, below and below.ell))
-        return real(family, below)
+    def building(family):
+        seeds.append((family.ring.ell, None))
+        return build(family)
 
-    monkeypatch.setattr(verify, "polarization_module", recording)
+    def lifting(below):
+        seeds.append((below.ell + 1, below.ell))
+        return lift(below)
+
+    monkeypatch.setattr(verify, "polarization_module", building)
+    monkeypatch.setattr(verify, "lift", lifting)
     # the generator has no module at ell = 1, and none at ell = 4 is asked for
     keys = [(("x[2,1]*x[1,2]",), "orbit", 3, ell) for ell in (5, 1, 3, 2, 3)]
     (group,) = verify.module_groups(keys)
@@ -318,6 +343,25 @@ def test_a_group_seeds_each_module_with_the_one_below(monkeypatch):
     assert isinstance(hs, UsageError) and frob is hs
     for key in group[1:3]:
         assert summaries[key] == verify.summarise((key,))[key]
+
+
+def test_a_chain_parses_its_generators_once(monkeypatch):
+    # the modules at ell = 2..4 are lifted from the one below, so only the
+    # first of the chain reads the generators
+    calls = []
+    parse = verify.parse_generator_args
+
+    def counting(args, r):
+        calls.append((tuple(args), r.ell))
+        return parse(args, r)
+
+    monkeypatch.setattr(verify, "parse_generator_args", counting)
+    group = tuple((("vandermonde",), "orbit", 4, ell) for ell in (1, 2, 3, 4))
+    summaries = verify.summarise(group)
+    assert calls == [(("vandermonde",), 1)]
+    # n! at ell = 1 and (n + 1)^(n - 1) at ell = 2, the diagonal harmonics
+    dims = [summaries[key][1].dimension(key[3]) for key in group]
+    assert dims == [24, 125, 400, 996]
 
 
 @pytest.mark.usefixtures("deadline")
@@ -376,7 +420,7 @@ def test_verify_errors_arrive_in_record_order(monkeypatch, tmp_path, capsys):
 )
 @pytest.mark.usefixtures("deadline")
 def test_worker_errors_come_back_through_the_pool(monkeypatch, capsys, error, stderr):
-    def fail(family, below=None):
+    def fail(family):
         raise error
 
     monkeypatch.setattr(verify, "polarization_module", fail)
@@ -423,9 +467,8 @@ def test_a_dead_workers_keys_are_summarised_inline(monkeypatch):
     assert run_verify(["table:4"])[0] == inline
     # the dead worker's modules, the victim's among them, were built here,
     # each once
-    keys = [(tuple(f.text), f.ring.n, f.ring.ell) for f in built]
-    assert len(set(keys)) == len(keys)
-    assert {(gens, n, ell) for gens, _, n, ell in victim} <= set(keys)
+    assert len(set(built)) == len(built)
+    assert set(victim) <= set(built)
     assert_no_child_left()
 
 
@@ -565,14 +608,32 @@ def test_main_refuses_a_product_too_large_to_expand(gen, count, capsys):
 
 
 def test_a_product_at_the_term_product_cap_is_expanded(monkeypatch, capsys):
-    monkeypatch.setattr(expressions, "MAX_TERM_PRODUCTS", 3 * 3)
+    monkeypatch.setattr(symfunc, "MAX_TERM_PRODUCTS", 3 * 3)
     argv = ["hilbert", "--n", "3", "--ell", "1", "--format", "json"]
-    for gen in ("e[1]^2", "e[1]*e[1]"):
+    # e[1,1]: one step over parts of 3 * 3
+    for gen in ("e[1]^2", "e[1]*e[1]", "e[1,1]"):
         assert main(argv + ["--gen=" + gen]) == 0
     capsys.readouterr()
     # e_1^2 has 6 terms in 3 variables
     assert main(argv + ["--gen=e[1]^2*e[1]"]) == 1
     assert "takes 18 term products, more than the 9" in capsys.readouterr().err
+    assert main(argv + ["--gen=e[1,1,1]"]) == 1
+    assert "e[1,1,1] in 3 variables takes 18 term products, more than the 9" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("tag", ["e", "h", "p"])
+def test_main_refuses_an_atom_whose_product_over_parts_is_too_large(tag, capsys):
+    # e_1^15 (h_1 = p_1 = e_1) as one atom: e_1^3 has C(32, 3) = 4960 terms
+    # in 30 variables, and its product with e_1 would take 4960 * 30
+    atom = "%s[%s]" % (tag, ",".join(["1"] * 15))
+    assert main(["hilbert", "--gen=" + atom, "--n", "30", "--ell", "1"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "usage error: %s in 30 variables takes 148800 term products, more "
+        "than the 100000 one product may take\n" % atom,
+    )
 
 
 def test_main_threads_flag_is_a_usage_error(capsys):

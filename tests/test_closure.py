@@ -10,12 +10,14 @@ from polmod import (
     UsageError,
     closure,
     expand_basis,
+    lift,
     polarization_module,
     ring,
 )
 from polmod.cli import verify
 from polmod.cli.expressions import parse_generator_args
 from polmod.cli.main import main
+from polmod.cli.runner import basis_job
 
 from conftest import random_nonzero_homogeneous, seeded
 
@@ -140,17 +142,18 @@ def test_polarization_module_matches_manual_fixpoint():
 
 
 def test_module_json_dict_shape():
-    fam = GeneratorFamily([ring(1, 2).var(1, 1)], mode="orbit", text=["x[1,1]"])
-    module = polarization_module(fam)
+    module = polarization_module(GeneratorFamily([ring(1, 2).var(1, 1)], mode="orbit"))
     doc = module.to_json_dict()
     assert doc["n"] == 2
     assert doc["ell"] == 1
-    assert doc["generators"] == ["x[1,1]"]
     assert doc["dimension"] == module.total_dimension()
     degrees = [tuple(c["degree"]) for c in doc["components"]]
     assert degrees == sorted(degrees)
     for comp in doc["components"]:
         assert len(comp["basis"]) == comp["dimension"]
+    # the generator texts are the command line's, added by the basis job
+    job_doc, _ = basis_job(["x[1,1]"], 2, 1)
+    assert job_doc == dict(doc, generators=["x[1,1]"])
 
 
 def test_polarization_module_needs_a_generator_family():
@@ -160,27 +163,20 @@ def test_polarization_module_needs_a_generator_family():
         polarization_module(span)
 
 
-def test_a_seed_of_another_ring_or_other_generators_is_refused():
-    def family(ell, n, texts=("m[2,1]",)):
-        polys = parse_generator_args(list(texts), ring(ell, n))
-        return GeneratorFamily(polys, text=list(texts))
+def test_lift_builds_the_module_one_row_up():
+    def module(ell, n):
+        polys = parse_generator_args(["m[2,1]"], ring(ell, n))
+        return polarization_module(GeneratorFamily(polys))
 
-    above = family(3, 3)
-    below = polarization_module(family(2, 3))
-    assert polarization_module(above, below) == polarization_module(above)
-    refused = r"below must be the module of the generators \['m\[2,1\]'\] at ell=2, n=3"
-    others = (family(1, 3), family(3, 3), family(2, 4), family(2, 3, ["m[3]"]))
-    for other in others:
-        with pytest.raises(ValueError, match=refused):
-            polarization_module(above, polarization_module(other))
-    # a family without generator texts cannot be matched with a seed
-    with pytest.raises(ValueError, match="the generators \\[\\] at ell=2"):
-        polarization_module(GeneratorFamily(above.polys), below)
-    # no module lies below ell = 1
-    with pytest.raises(ValueError, match="at ell=0, n=3"):
-        polarization_module(family(1, 3), below)
+    # from ell = 1, whose lowering into row 2 starts the closure, and ell = 2
+    for ell in (1, 2):
+        lifted = lift(module(ell, 3))
+        assert lifted.ring is ring(ell + 1, 3)
+        assert lifted == module(ell + 1, 3)
     with pytest.raises(TypeError):
-        polarization_module(above, below.components)
+        lift(module(2, 3).components)
+    with pytest.raises(TypeError):
+        lift(GeneratorFamily(parse_generator_args(["m[2,1]"], ring(2, 3))))
 
 
 # Applications, insert attempts (generator inserts included) and insertions
@@ -227,8 +223,8 @@ def test_closure_candidate_sequence_is_pinned(argv, counts, monkeypatch, capsys)
 
 
 # The same counts over verify groups (module_groups), whose modules above
-# the first are seeded with the one below: update them only with the
-# operator set, the skip rules or the seeding.
+# the first are lifted from the one below: update them only with the
+# operator set, the skip rules or the seeding (closure.lift).
 SEEDED_COUNTS = [
     # table:4's m[2,2] at n = 6
     (tuple((("m[2,2]",), "orbit", 6, ell) for ell in (2, 3)), (345, 324, 243)),

@@ -8,8 +8,9 @@ component of a module), independence of insertion order and scaling,
 closure under every derivative and polarization (the closure applies only
 some of them), closure idempotence, GL_ell stability of the dimensions,
 stability under the column transpositions of modules of non-symmetric
-families, equivariance under row and column permutations, and the traces of
-column permutations (integral on modules) against a Fraction reference.
+families, equivariance under row and column permutations, the traces of
+column permutations (integral on modules) against a Fraction reference, and
+the module one row up lifted from the module below (closure.lift).
 """
 
 from fractions import Fraction
@@ -23,10 +24,11 @@ from polmod import (
     GradedSpan,
     Poly,
     QQ,
+    lift,
     polarization_module,
     ring,
 )
-from polmod.polyring import Permutation
+from polmod.polyring import EXP_BITS, Permutation
 
 from conftest import render_cell_by_cell
 
@@ -195,15 +197,28 @@ def one_row_up(polys):
 @PROPERTY_SETTINGS
 @given(families(max_polys=2).filter(lambda family: family[0].ell < 4))
 def test_module_seeded_one_row_down_is_the_module(family):
-    # at ell = 2..4, the closure started from the module at ell - 1
+    # lift(W(ell)) is W(ell + 1), ell = 1..3, row for row
     r, degree, polys = family
-    text = [str(f) for f in polys]
-    below = polarization_module(GeneratorFamily(polys, text=text))
-    above = GeneratorFamily(one_row_up(polys), text=text)
-    seeded = polarization_module(above, below)
-    assert seeded == polarization_module(above)
-    for comp in seeded.components.values():
+    lifted = lift(polarization_module(GeneratorFamily(polys)))
+    assert lifted == polarization_module(GeneratorFamily(one_row_up(polys)))
+    for comp in lifted.components.values():
         assert_canonical(comp)
+
+
+@PROPERTY_SETTINGS
+@given(families(max_polys=2).filter(lambda family: family[0].ell < 4))
+def test_lift_adds_nothing_free_of_the_new_row(family):
+    # the one-row case of the ell-truncation lemma, which lift does not rely
+    # on: the components of W(ell + 1) with d_(ell+1) = 0 hold exactly the
+    # embedded rows of W(ell)
+    r, degree, polys = family
+    module = polarization_module(GeneratorFamily(polys))
+    lifted = lift(module)
+    shift = EXP_BITS * r.n
+    free = {d[:-1]: lifted.components[d] for d in lifted.sorted_degrees() if not d[-1]}
+    assert free.keys() == module.dims().keys()
+    for d, comp in free.items():
+        assert comp.rows == module.components[d].shifted(d, shift).rows
 
 
 def moved_pivot_reference(span, d, images):
