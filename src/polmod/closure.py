@@ -155,36 +155,75 @@ Per column, with d_i = d/dx[i,j]: [x2 d2^2, x2 d1^2] = 2 x2 d2 d1^2,
    So W is closed under every tau_j, hence S_n-stable, and so closed under
    every d/dx[1,j] = sigma D_1 sigma with sigma = (1 j).
 
-Seeding from the module one row down. lift(W') takes W' = W(ell - 1), the
-module of some generators F in the ring with ell - 1 rows (the output of
-polarization_module or of lift), and stores its rows in place of the
-generator rows; F itself is never read. Row ell is the lowest block of a code, so shifting every code up by
-EXP_BITS * n embeds that ring's polynomials as the ones free of row ell,
-keeps the monomial order, and so keeps every reduced echelon row one. No
-seeded row is queued. Instead the lowering E = E[ell,ell-1]^(1) is applied
-to each seeded row t, and each image that insert stores is queued with E's
-skip mask: these are the first snapshots, s = a E t + (sum of images stored
-before s). W, now the span of W' and the snapshots, is still M = M(ell):
+Lifting. polarization_module(family) starts in the rows the generators
+use: r is the highest row in which some generator has a nonzero degree
+(r = 1 when no generator is left). Row ell is the lowest block of a code,
+so rows r + 1..ell are the low EXP_BITS * n * (ell - r) bits of every
+generator code, all zero; shifting the codes down by that many bits gives
+the same polynomials in ring(r, n), in the same monomial order. The
+worklist above closes them there to W(r), the module M(r) of F in r rows,
+and lift takes W(k) to W(k + 1) until k = ell. A lift stores the rows of
+W(k) embedded and closes under the polarizations only, with no D_1 and no
+tau_j. The theorem behind it:
 
-- W' lies in M. The partials and polarizations in rows 1..ell-1 and the
-  column action map polynomials free of row ell to polynomials free of row
-  ell, acting on them as in the smaller ring. M contains F and is closed
-  under them, and W' is the smallest space with those properties.
-- A W' lies in W' for every applied operator A other than E. D_1,
-  E[1,1]^(p), every E[i,k]^(1) with i, k < ell and every tau_j act on W'
-  as in the smaller ring, where W' is closed under them by the module
-  theorem at ell - 1. The raising E[ell-1,ell]^(1) kills every polynomial
-  free of row ell.
+Theorem. Let V contain F, be closed under every partial derivative, be
+S_n-stable and lie in M. Then P(V), the smallest space containing V that is
+closed under every polarization, is M.
+
+Proof. For a partial d = d/dx[a,b] and E = E[i,k]^(p),
+[d, E] = delta_ai d^p/dx[k,b]^p. So for a product of partials D, [D, E] is
+again a sum of products of partials: D holds d/dx[i,j] some c_j times, and
+[D, E] = sum_j c_j (D / d/dx[i,j]) d^p/dx[k,j]^p. Claim: D E_1 ... E_s v
+lies in P(V) for every product of partials D, every v in V and all
+polarizations E_1, ..., E_s; by induction on s. For s = 0, D v lies in V.
+For s >= 1, with u = E_2 ... E_s v, D E_1 u = E_1 (D u) + [D, E_1] u: D u
+lies in P(V) by induction, hence so does E_1 D u, and [D, E_1] u is a sum
+of products of partials applied to u, in P(V) by induction. P(V) is spanned
+by such E_1 ... E_s v, so it is closed under every partial. It is S_n-stable,
+since V is and every polarization commutes with the column action. So
+P(V) contains the orbit of F and is closed under every partial and
+polarization: it contains M. Conversely, M contains V and is closed under
+polarizations, so it contains P(V).
+
+lift(W') takes W' = W(k), the module of some generators F in k rows (the
+output of polarization_module or of lift), and stores its rows in
+ring(k + 1, n); F itself is never read. Shifting every code up by
+EXP_BITS * n embeds ring(k, n)'s polynomials as the ones free of row k + 1,
+keeps the monomial order, and so keeps every reduced echelon row one. The
+embedded W' is a V of the theorem in ring(k + 1, n):
+
+- It contains F, which lives in rows 1..r, r <= k.
+- It is closed under every partial: d/dx[a,b] with a <= k acts on it as in
+  the smaller ring, where W' is closed, and d/dx[k+1,b] kills it. It is
+  S_n-stable, as W' is.
+- It lies in M = M(k + 1). The partials and polarizations in rows 1..k and
+  the column action map polynomials free of row k + 1 to polynomials free
+  of row k + 1, acting on them as in the smaller ring. M contains F and is
+  closed under them, and W' is the smallest space with those properties.
+
+So M = P(W'). No seeded row is queued. Instead the lowering
+E = E[k+1,k]^(1) is applied to each seeded row t, and each image that
+insert stores is queued with E's skip mask: these are the first snapshots,
+s = a E t + (sum of images stored before s). The closure then applies the
+polarizations of _operators only, with their skips. W, the span of W' and
+the snapshots, is P(W') = M:
+
+- A W' lies in W' for every applied A other than E. E[1,1]^(2) and every
+  E[i,k']^(1) with i, k' <= k act on W' as in the smaller ring, where W' is
+  closed under them; the raising E[k,k+1]^(1) kills every polynomial free
+  of row k + 1.
 - E W' lies in W: E t is either a stored image, up to the scalar a and
   earlier images, or reduces to zero against the images stored before it.
 
-So a seeded row t is a base case of each induction above: t is in W, and
-A t is in W for every applied A. Where an induction step reads "A t is in
-W" for the row t a snapshot was created from, a first snapshot's t is a
-seeded row, and that holds. Step 1 still holds, since every lowering maps
-W' into W and no snapshot skips one. W, spanned by W' and images of it
-under operators that keep M, lies in M; and W contains F, which lies in W',
-so the converse argument goes through unchanged.
+So a seeded row t is a base case of steps 1 to 3 above: t is in W, and
+A t is in W for every applied A. Where a step reads "A t is in W" for the
+row t a snapshot was created from, a first snapshot's t is a seeded row,
+and that holds. Step 1 still holds, since every lowering maps W' into W
+and no snapshot skips one. Steps 1 to 3, with A = E[1,1]^(p) alone in
+step 3, and the polarization identities of the first list and after
+step 3 (k + 1 >= 2) make W closed under every polarization. W contains W'
+and is spanned by images of it under polarizations, so W = P(W') = M.
+Step 4 is not needed: P(W') is S_n-stable by the theorem.
 """
 
 from __future__ import annotations
@@ -308,10 +347,12 @@ class Component:
     def shifted(self, degree, shift):
         """A copy of degree `degree` whose rows have every code shifted up
         by `shift` bits. A shift keeps the monomial order, so the copy is in
-        the same echelon form."""
+        the same echelon form. Rows sharing a code share its shifted int, as
+        the closure's rows share the codes they copy from each other."""
+        up = {code: code << shift for row in self.rows for code in row}
         comp = Component(degree)
-        comp.pivots = [pivot << shift for pivot in self.pivots]
-        comp.rows = [{code << shift: v for code, v in row.items()} for row in self.rows]
+        comp.pivots = [up[pivot] for pivot in self.pivots]
+        comp.rows = [{up[code]: v for code, v in row.items()} for row in self.rows]
         return comp
 
 
@@ -538,6 +579,9 @@ _ROW1_PARTIAL = 1
 _ROW1_SELF_POLARIZATIONS = 2
 _RAISING = 4
 _TRANSPOSITION = 8
+# what a lift never applies: D_1 and every tau_j, the bits from
+# _TRANSPOSITION up; its closure applies the polarizations only
+_LIFT_DROP = _ROW1_PARTIAL | -_TRANSPOSITION
 
 
 def _operators(r, degree):
@@ -607,17 +651,19 @@ def _operators(r, degree):
     return ops
 
 
-def _close(span, queue):
-    """Worklist closure of a span under the operators of _operators, started
-    from the (degree, row, skip mask) entries of queue, stored rows of the
-    span.
+def _close(span, queue, drop=0):
+    """Worklist closure of a span under the operators of _operators whose
+    kind has no bit of drop, started from the (degree, row, skip mask)
+    entries of queue, stored rows of the span.
 
-    Pending rows are processed in increasing (|d|, d), rows of one degree in
-    the order they were queued; every successful insertion queues the new
-    row itself, with the skip mask of the operator that created it. No
-    stored row is edited until the worklist is empty, so the queued rows are
-    the stored rows, and the closure argument (module docstring) goes
-    through unchanged. Then every component is brought to reduced form by
+    With drop = _LIFT_DROP the closure applies the polarizations only, as
+    a lift does (module docstring, "Lifting"). Pending rows are processed
+    in increasing (|d|, d), rows of one degree in the order they were
+    queued; every successful insertion queues the new row itself, with the
+    skip mask of the operator that created it. No stored row is edited
+    until the worklist is empty, so the queued rows are the stored rows,
+    and the closure argument (module docstring) goes through unchanged.
+    Then every component is brought to reduced form by
     Component.back_substitute. A transposition moves no coefficient, so its
     candidate is the source dict with its codes swapped in one
     comprehension, and it is dropped when it equals the source.
@@ -630,7 +676,7 @@ def _close(span, queue):
     while heap:
         _, d, _, terms, skipped = heapq.heappop(heap)
         if d not in ops:
-            ops[d] = _operators(span.ring, d)
+            ops[d] = [op for op in _operators(span.ring, d) if not op[2] & drop]
         for dd, op, kind, skip in ops[d]:
             if kind & skipped:
                 continue
@@ -657,25 +703,35 @@ def _close(span, queue):
 
 def polarization_module(family):
     """The polarization module of a family, that of the column orbit of its
-    generators: the joint closure fixpoint started from the generators."""
+    generators: the joint closure fixpoint started from the generators in
+    the rows 1..r they use, lifted to the family's ell (module docstring,
+    "Lifting")."""
     if not isinstance(family, GeneratorFamily):
         raise TypeError("expected a GeneratorFamily")
     r = family.ring
-    span = GradedSpan(r.ell, r.n)
+    # the highest row with a nonzero degree (1 with no generator left); rows
+    # top + 1..ell are the low blocks of every generator code, all zero
+    top = max(
+        (k for d in family.degrees for k, dk in enumerate(d, 1) if dk), default=1
+    )
+    shift = EXP_BITS * r.n * (r.ell - top)
+    span = GradedSpan(top, r.n)
     for f, d in zip(family.polys, family.degrees):
-        span._insert(d, f.terms)
-    comps = span.components
-    queue = [(d, row, 0) for d in span.sorted_degrees() for row in comps[d].rows]
-    return _close(span, queue)
+        span._insert(d[:top], {code >> shift: q for code, q in f.terms.items()})
+    queue = [(d, row, 0) for d in span.sorted_degrees() for row in span.components[d].rows]
+    _close(span, queue)
+    while span.ell < r.ell:
+        # rebinding span drops W(k) before W(k + 1) is closed
+        span, queue = _embed(span)
+        _close(span, queue, _LIFT_DROP)
+    return span
 
 
-def lift(module):
-    """The module of the same generators in ring(ell + 1, n), from a
-    polarization module at ell alone (module docstring, "Seeding"): its rows,
-    embedded, are stored, and the closure starts from their images under
-    E[ell+1,ell]^(1). Any other GradedSpan gives a span of no meaning."""
-    if not isinstance(module, GradedSpan):
-        raise TypeError("lift expects a GradedSpan")
+def _embed(module):
+    """(span, queue) that _close lifts to the module one row up: the rows
+    of a polarization module embedded in ring(ell + 1, n), and the stored
+    images of E[ell+1,ell]^(1) of them, each queued with that lowering's
+    skip mask."""
     r = ring(module.ell + 1, module.n)
     span = GradedSpan(r.ell, r.n)
     for d, comp in module.components.items():
@@ -694,4 +750,15 @@ def lift(module):
                     image = span.component(dd).insert(out)
                     if image is not None:
                         queue.append((dd, image, skip))
-    return _close(span, queue)
+    return span, queue
+
+
+def lift(module):
+    """The module of the same generators in ring(ell + 1, n), from a
+    polarization module at ell alone (module docstring, "Lifting"): its
+    rows, embedded, are stored, and the closure under the polarizations
+    starts from their images under E[ell+1,ell]^(1). Any other GradedSpan
+    gives a span of no meaning."""
+    if not isinstance(module, GradedSpan):
+        raise TypeError("lift expects a GradedSpan")
+    return _close(*_embed(module), _LIFT_DROP)

@@ -739,6 +739,10 @@ GOLDEN_JOBS = {
     "basis-x11sq-x22-n3-ell2": [
         "basis", "--gen=x[1,1]^2*x[2,2]", "--n", "3", "--ell", "2",
     ],
+    # generators in rows 1..2 of 3, closed at ell = 2 and lifted once
+    "basis-x11sq-x22-n3-ell3": [
+        "basis", "--gen=x[1,1]^2*x[2,2]", "--n", "3", "--ell", "3",
+    ],
     # two-digit column indices
     "basis-m21-n10-ell1": ["basis", "--gen=m[2,1]", "--n", "10", "--ell", "1"],
     # three row blocks
@@ -753,6 +757,10 @@ GOLDEN_JOBS = {
     ],
     "frobenius-vandermonde-n4-ell3": [
         "frobenius", "--gen=vandermonde", "--n", "4", "--ell", "3",
+    ],
+    # four row blocks: closed at ell = 1 and lifted three times
+    "frobenius-vandermonde-n4-ell4": [
+        "frobenius", "--gen=vandermonde", "--n", "4", "--ell", "4",
     ],
     "frobenius-x21sq-x32-n4-ell3": [
         "frobenius", "--gen=x[2,1]^2*x[3,2]", "--n", "4", "--ell", "3",

@@ -10,7 +10,9 @@ some of them), closure idempotence, GL_ell stability of the dimensions,
 stability under the column transpositions of modules of non-symmetric
 families, equivariance under row and column permutations, the traces of
 column permutations (integral on modules) against a Fraction reference, and
-the module one row up lifted from the module below (closure.lift).
+the module one row up lifted from the module below (closure.lift), and the
+module closed in the rows its generators use and lifted to ell against a
+direct closure at ell.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from polmod import (
     GradedSpan,
     Poly,
     QQ,
+    closure,
     lift,
     polarization_module,
     ring,
@@ -368,6 +371,41 @@ def test_modules_of_non_symmetric_families_are_column_stable(family_and_orbit):
     if family.mode == "orbit":
         # the closure builds the orbit of the given monomial itself
         assert module == polarization_module(GeneratorFamily(orbit, mode="verbatim"))
+
+
+def direct_module(family):
+    """The reference module: every generator row queued in ring(ell, n) and
+    closed by _close with the full operator set, with no lift."""
+    r = family.ring
+    span = GradedSpan(r.ell, r.n)
+    for f, d in zip(family.polys, family.degrees):
+        span._insert(d, f.terms)
+    queue = [(d, row, 0) for d in span.sorted_degrees() for row in span.components[d].rows]
+    return closure._close(span, queue)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        families(max_polys=2).map(lambda family: GeneratorFamily(family[2])),
+        non_symmetric_families().map(lambda family_and_orbit: family_and_orbit[0]),
+    )
+)
+# generators confined to rows 2..r < ell
+@example(orbit_family(4, 3, {(2, 1): 2, (3, 2): 1})[0])
+@example(orbit_family(3, 2, {(2, 1): 1, (2, 2): 1})[0])
+# a column orbit given verbatim, in rows 1..2 of 3
+@example(GeneratorFamily(column_orbit(ring(3, 3).monomial({(1, 1): 2, (2, 2): 1})), mode="verbatim"))
+# no generator left: the empty module at every ell
+@example(GeneratorFamily([ring(4, 2).zero()]))
+def test_module_lifted_from_its_generator_rows_is_the_direct_closure(family):
+    # polarization_module closes the generators in the rows 1..r they use
+    # and lifts that module to ell under the polarizations only
+    module = polarization_module(family)
+    assert module.ring is family.ring
+    assert module == direct_module(family)
+    for comp in module.components.values():
+        assert_canonical(comp)
 
 
 @PROPERTY_SETTINGS
